@@ -22,6 +22,7 @@ from .grid import (
     LatticeCq,
     Rectangle,
     first_discontinuity,
+    values_continuous,
 )
 from .gridmap import GridMap, from_array
 from .homotopy import Certificate, SpiderMove
@@ -47,11 +48,10 @@ def _tokens_with_cols(text_line: str) -> list[tuple[str, int]]:
 
 def _body_lines(text: str) -> list[tuple[int, str]]:
     """All non-blank lines as (1-based line number, content)."""
-    out = []
-    for i, raw in enumerate(text.split("\n"), start=1):
-        if raw.strip():
-            out.append((i, raw))
-    return out
+    return [
+        (i, raw) for i, raw in enumerate(text.split("\n"), start=1)
+        if raw and not raw.isspace()
+    ]
 
 
 def _parse_kv(token: str, key: str, line: int) -> str:
@@ -72,34 +72,55 @@ def _sphere_n(codomain: DigitalImage) -> int | None:
     return None
 
 
+class TokenTable:
+    """A codomain's label tokens, resolved once per document.
+
+    ``tokens[i]`` is the canonical token of point index i; ``indices`` maps
+    each canonical token (and ``-1`` on a sphere) back to its index.  Other
+    spellings fall back to the regular-expression parse, so a non-canonical
+    one such as ``007`` on a non-sphere codomain still names point 7.
+    """
+
+    def __init__(self, codomain: DigitalImage):
+        self.codomain = codomain
+        self.sphere_n = n = _sphere_n(codomain)
+        if n is None:
+            self.tokens = tuple(str(i) for i in range(len(codomain.points)))
+        else:
+            axes = tuple(str(axis) for axis in range(1, n + 2))
+            self.tokens = axes + (".",) + tuple("-" + t for t in axes[1:])
+        self.indices = {tok: i for i, tok in enumerate(self.tokens)}
+        if n is not None:
+            self.indices["-1"] = n + 1
+
+    def index(self, token: str) -> int | None:
+        """Point index for a token, or None if the token is unknown."""
+        idx = self.indices.get(token)
+        if idx is not None:
+            return idx
+        n = self.sphere_n
+        if n is None:
+            if re.fullmatch(r"\d+", token):
+                idx = int(token)
+                return idx if idx < len(self.tokens) else None
+            return None
+        m = re.fullmatch(r"(-?)([1-9]\d*)", token)
+        if not m:
+            return None
+        axis = int(m.group(2))
+        if axis > n + 1:
+            return None
+        return (axis - 1) + (n + 1 if m.group(1) else 0)
+
+
 def token_of_index(idx: int, codomain: DigitalImage) -> str:
     """Canonical token for a point index (dot for a sphere's -e1)."""
-    n = _sphere_n(codomain)
-    if n is None:
-        return str(idx)
-    axis = idx % (n + 1) + 1
-    if idx >= n + 1:
-        return "." if axis == 1 else f"-{axis}"
-    return str(axis)
+    return TokenTable(codomain).tokens[idx]
 
 
 def index_of_token(token: str, codomain: DigitalImage) -> int | None:
     """Point index for a token, or None if the token is unknown."""
-    n = _sphere_n(codomain)
-    if n is None:
-        if re.fullmatch(r"\d+", token):
-            idx = int(token)
-            return idx if idx < len(codomain.points) else None
-        return None
-    if token == ".":
-        return n + 1
-    m = re.fullmatch(r"(-?)([1-9]\d*)", token)
-    if not m:
-        return None
-    axis = int(m.group(2))
-    if axis > n + 1:
-        return None
-    return (axis - 1) + (n + 1 if m.group(1) else 0)
+    return TokenTable(codomain).index(token)
 
 
 def _resolve_codomain(name: str, provided: DigitalImage | None, line: int) -> DigitalImage:
@@ -198,76 +219,72 @@ def load_image(text: str) -> DigitalImage:
 # Grid bodies (shared by .dmap and .dcert).
 
 
-def _grid_to_lines(arr: np.ndarray, codomain: DigitalImage) -> list[str]:
-    out = []
-    for b in range(arr.shape[0] - 1, -1, -1):
-        out.append(" ".join(token_of_index(int(v), codomain) for v in arr[b]))
-    return out
+def _grid_to_lines(arr: np.ndarray, tokens: tuple[str, ...]) -> list[str]:
+    return [" ".join([tokens[v] for v in row]) for row in arr[::-1].tolist()]
 
 
 def _parse_grid_rows(
-    rows: list[tuple[int, str]], m: int, n: int, codomain: DigitalImage
+    rows: list[tuple[int, str]], m: int, n: int, table: TokenTable
 ) -> np.ndarray:
     """Parse n+1 grid lines (top row first) into an (n+1, m+1) array."""
     if len(rows) != n + 1:
         where = rows[-1][0] if rows else None
         raise ParseError(f"expected {n + 1} grid rows, found {len(rows)}", where)
-    arr = np.zeros((n + 1, m + 1), dtype=np.uint8)
-    for i, (lno, line) in enumerate(rows):
-        b = n - i
-        toks = _tokens_with_cols(line)
+    index = table.index
+    top_first = []
+    for lno, line in rows:
+        toks = line.split()
         if len(toks) != m + 1:
             raise ParseError(
                 f"row has {len(toks)} labels, expected {m + 1}",
                 lno,
-                toks[-1][1] if len(toks) > m + 1 else None,
+                _tokens_with_cols(line)[-1][1] if len(toks) > m + 1 else None,
             )
-        for a, (tok, col) in enumerate(toks):
-            idx = index_of_token(tok, codomain)
-            if idx is None:
-                raise ParseError(
-                    f"unknown label token {tok!r} for codomain {codomain.name}",
-                    lno,
-                    col,
-                )
-            arr[b, a] = idx
-    return arr
+        row = [index(tok) for tok in toks]
+        if None in row:
+            a = row.index(None)
+            raise ParseError(
+                f"unknown label token {toks[a]!r} for codomain {table.codomain.name}",
+                lno,
+                _tokens_with_cols(line)[a][1],
+            )
+        top_first.append(row)
+    return np.array(top_first[::-1], dtype=np.uint8)
 
 
 def _check_grid(
     arr: np.ndarray,
     basepoint: int,
-    codomain: DigitalImage,
+    table: TokenTable,
     rows: list[tuple[int, str]],
 ) -> None:
     """Boundary and continuity checks with source locations."""
     n = arr.shape[0] - 1
+    tokens = table.tokens
 
     def loc(a: int, b: int) -> tuple[int, int]:
         lno, line = rows[n - b]
         return lno, _tokens_with_cols(line)[a][1]
 
-    h, w = arr.shape
-    for b in range(h):
-        for a in range(w):
-            if b in (0, h - 1) or a in (0, w - 1):
-                if arr[b, a] != basepoint:
-                    lno, col = loc(a, b)
-                    raise ParseError(
-                        f"boundary cell ({a},{b}) is "
-                        f"{token_of_index(int(arr[b, a]), codomain)!r}, expected "
-                        f"basepoint {token_of_index(basepoint, codomain)!r}",
-                        lno,
-                        col,
-                    )
-    pair = first_discontinuity(arr, codomain.adjacency_matrix)
-    if pair is not None:
-        (a1, b1), (a2, b2) = pair
+    off = arr != basepoint
+    off[1:-1, 1:-1] = False  # only boundary cells must carry the basepoint
+    if off.any():
+        # argmax on the flat mask finds the first hit in b-then-a order.
+        b, a = divmod(int(off.argmax()), arr.shape[1])
+        lno, col = loc(a, b)
+        raise ParseError(
+            f"boundary cell ({a},{b}) is {tokens[arr[b, a]]!r}, expected "
+            f"basepoint {tokens[basepoint]!r}",
+            lno,
+            col,
+        )
+    amat = table.codomain.adjacency_matrix
+    if not values_continuous(arr, amat):
+        (a1, b1), (a2, b2) = first_discontinuity(arr, amat)
         lno, col = loc(a1, b1)
         raise ParseError(
             f"cells ({a1},{b1}) and ({a2},{b2}) carry non-adjacent labels "
-            f"{token_of_index(int(arr[b1, a1]), codomain)!r} and "
-            f"{token_of_index(int(arr[b2, a2]), codomain)!r}",
+            f"{tokens[arr[b1, a1]]!r} and {tokens[arr[b2, a2]]!r}",
             lno,
             col,
         )
@@ -278,14 +295,15 @@ def _check_grid(
 
 
 def dump_map(f: GridMap) -> str:
-    bp_token = token_of_index(f.basepoint, f.codomain)
+    tokens = TokenTable(f.codomain).tokens
+    bp_token = tokens[f.basepoint]
     if bp_token == ".":
         bp_token = "-1"  # headers always carry the explicit signed token
     head = (
         f"dmap v1 w={f.rect.m} h={f.rect.n} codomain={f.codomain.name} "
         f"basepoint={bp_token}"
     )
-    return "\n".join([head] + _grid_to_lines(f.array, f.codomain)) + "\n"
+    return "\n".join([head] + _grid_to_lines(f.array, tokens)) + "\n"
 
 
 def load_map(text: str, codomain: DigitalImage | None = None) -> GridMap:
@@ -310,14 +328,15 @@ def load_map(text: str, codomain: DigitalImage | None = None) -> GridMap:
     bp_token = _parse_kv(toks[5], "basepoint", lno)
     if bp_token == ".":
         raise ParseError("header basepoint must be an explicit token, not '.'", lno)
-    bp = index_of_token(bp_token, cod)
+    table = TokenTable(cod)
+    bp = table.index(bp_token)
     if bp is None:
         raise ParseError(f"unknown basepoint token {bp_token!r}", lno)
     rows = lines[1:]
     if len(rows) > n + 1:
         raise ParseError("unexpected content after grid rows", rows[n + 1][0])
-    arr = _parse_grid_rows(rows, m, n, cod)
-    _check_grid(arr, bp, cod, rows)
+    arr = _parse_grid_rows(rows, m, n, table)
+    _check_grid(arr, bp, table, rows)
     return from_array(arr, cod, bp)
 
 
@@ -326,19 +345,17 @@ def load_map(text: str, codomain: DigitalImage | None = None) -> GridMap:
 
 
 def dump_certificate(cert: Certificate) -> str:
+    tokens = TokenTable(cert.codomain).tokens
     lines = [
         f"dcert v1 codomain={cert.codomain.name} "
         f"w={cert.common_rect.m} h={cert.common_rect.n}",
         "start",
     ]
-    lines += _grid_to_lines(cert.start.array, cert.codomain)
+    lines += _grid_to_lines(cert.start.array, tokens)
     lines.append("moves")
-    for mv in cert.moves:
-        lines.append(
-            f"S {mv.at[0]} {mv.at[1]} {token_of_index(mv.new_value, cert.codomain)}"
-        )
+    lines += [f"S {mv.at[0]} {mv.at[1]} {tokens[mv.new_value]}" for mv in cert.moves]
     lines.append("end")
-    lines += _grid_to_lines(cert.end.array, cert.codomain)
+    lines += _grid_to_lines(cert.end.array, tokens)
     return "\n".join(lines) + "\n"
 
 
@@ -368,45 +385,47 @@ def load_certificate(
     if m < 0 or n < 0:
         raise ParseError("width/height must be >= 0", lno)
 
+    table = TokenTable(cod)
     body = lines[1:]
     if not body or body[0][1].strip() != "start":
         raise ParseError("expected 'start' section", body[0][0] if body else lno)
     if len(body) < n + 2:
         raise ParseError("truncated start grid", body[-1][0])
     start_rows = body[1 : n + 2]
-    rest = body[n + 2 :]
-    start_arr = _parse_grid_rows(start_rows, m, n, cod)
+    start_arr = _parse_grid_rows(start_rows, m, n, table)
     bp = int(start_arr[0, 0])
-    _check_grid(start_arr, bp, cod, start_rows)
+    _check_grid(start_arr, bp, table, start_rows)
     start = from_array(start_arr, cod, bp)
 
-    if not rest or rest[0][1].strip() != "moves":
-        raise ParseError("expected 'moves' section", rest[0][0] if rest else lno)
-    rest = rest[1:]
+    k = n + 2  # walks body by index: slicing it per move would be quadratic
+    if k == len(body) or body[k][1].strip() != "moves":
+        raise ParseError("expected 'moves' section", body[k][0] if k < len(body) else lno)
+    index = table.index
     moves: list[SpiderMove] = []
     move_lines: list[int] = []
-    while rest and rest[0][1].strip() != "end":
-        mlno, line = rest[0]
+    for k in range(k + 1, len(body)):
+        mlno, line = body[k]
         mt = line.split()
         if len(mt) != 4 or mt[0] != "S":
+            if mt == ["end"]:
+                break
             raise ParseError("expected move line: S <a> <b> <token>", mlno)
         try:
             a, b = int(mt[1]), int(mt[2])
         except ValueError:
             raise ParseError("move coordinates must be integers", mlno) from None
-        idx = index_of_token(mt[3], cod)
+        idx = index(mt[3])
         if idx is None:
             raise ParseError(f"unknown label token {mt[3]!r}", mlno)
         moves.append(SpiderMove((a, b), idx))
         move_lines.append(mlno)
-        rest = rest[1:]
-    if not rest:
+    else:
         raise ParseError("expected 'end' section", lines[-1][0])
-    end_rows = rest[1:]
+    end_rows = body[k + 1 :]
     if len(end_rows) > n + 1:
         raise ParseError("unexpected content after end grid", end_rows[n + 1][0])
-    end_arr = _parse_grid_rows(end_rows, m, n, cod)
-    _check_grid(end_arr, bp, cod, end_rows)
+    end_arr = _parse_grid_rows(end_rows, m, n, table)
+    _check_grid(end_arr, bp, table, end_rows)
     end = from_array(end_arr, cod, bp)
 
     cert = Certificate(

@@ -268,12 +268,10 @@ def product_image(x: DigitalImage, y: DigitalImage) -> DigitalImage:
     ay = y.adjacency_matrix
     prod = np.kron(ax, ay)
     edges = set()
-    n = len(pts)
     ii, jj = np.nonzero(prod)
     for i, j in zip(ii.tolist(), jj.tolist()):
         if i <= j:
             edges.add((i, j))
-    assert len(pts) == n
     return DigitalImage(
         name=f"{x.name}*{y.name}",
         points=pts,

@@ -363,7 +363,8 @@ def doubling_trace(f: GridMap, from_i: int, to_i: int) -> Certificate:
             SubRect(i, i, 0, f.rect.n), nxt.array[:, i : i + 1]
         )
     cert = builder.certificate()
-    assert cert.end.values == apply_alpha(f, to_i).values
+    if cert.end.values != apply_alpha(f, to_i).values:
+        raise RuntimeError("doubling trace did not end at the target doubling")
     return cert
 
 
@@ -425,7 +426,8 @@ def _emit_translate(builder: "_TraceBuilder", r: SubRect, delta: tuple[int, int]
     block = np.array(before[r.b_lo : r.b_hi + 1, r.a_lo : r.a_hi + 1])
     expected[r.b_lo : r.b_hi + 1, r.a_lo : r.a_hi + 1] = bp
     expected[tgt.b_lo : tgt.b_hi + 1, tgt.a_lo : tgt.a_hi + 1] = block
-    assert (builder.arr == expected).all()
+    if not (builder.arr == expected).all():
+        raise RuntimeError("translation walk did not land the block at its target")
 
 
 def translate_trace(f: GridMap, r: SubRect, delta: tuple[int, int]) -> Certificate:

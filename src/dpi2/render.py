@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 
 from .degree import oriented_triangles
-from .formats import token_of_index
+from .formats import TokenTable
 from .gridmap import GridMap
 
 # One color per label index, cycling for larger codomains.
@@ -43,9 +43,8 @@ def _use_color(color: bool | None) -> bool:
 def render_ascii(f: GridMap, color: bool | None = None) -> str:
     """The token grid, top row first, columns space-aligned."""
     color = _use_color(color)
-    tokens = [
-        [token_of_index(int(v), f.codomain) for v in row] for row in f.array
-    ]
+    names = TokenTable(f.codomain).tokens
+    tokens = [[names[v] for v in row] for row in f.array.tolist()]
     width = max(len(t) for row in tokens for t in row)
     lines = []
     for b in range(f.rect.n, -1, -1):
@@ -64,6 +63,7 @@ def render_svg(f: GridMap, spec: RenderSpec) -> str:
     """An SVG drawing of the map; vertical axis points up."""
     s = spec.cell_size
     w, h = f.rect.width * s, f.rect.height * s
+    names = TokenTable(f.codomain).tokens
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">'
@@ -76,7 +76,7 @@ def render_svg(f: GridMap, spec: RenderSpec) -> str:
             out.append(
                 f'<rect x="{a * s}" y="{y}" width="{s}" height="{s}" '
                 f'fill="{fill}" stroke="#555" stroke-width="1">'
-                f"<title>({a},{b}) {token_of_index(idx, f.codomain)}</title></rect>"
+                f"<title>({a},{b}) {names[idx]}</title></rect>"
             )
     if spec.show_triangulation:
         for tri in oriented_triangles(f):

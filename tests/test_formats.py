@@ -1,9 +1,15 @@
+import dataclasses
+import re
+import time
+
 import pytest
 
 import dpi2 as d
 from dpi2 import ParseError
 
-from conftest import grid, T_TEXT
+from conftest import DATA, grid, T_TEXT
+
+GOLDEN_CERT = DATA / "doubling_T.dcert"  # dump of doubling_trace(T, 4, 0)
 
 
 def test_map_roundtrip_is_exact():
@@ -60,6 +66,22 @@ def test_load_map_rejects_boundary_violation():
     with pytest.raises(ParseError) as ei:
         d.load_map(doc)
     assert "boundary" in str(ei.value)
+
+
+def test_grid_diagnostics_name_the_first_bad_cell_bottom_row_first():
+    # Two boundary violations: the scan runs b = 0 (the last line) upwards.
+    doc = "dmap v1 w=2 h=2 codomain=S2 basepoint=-1\n. 2 .\n. . .\n. . 3\n"
+    with pytest.raises(ParseError) as ei:
+        d.load_map(doc)
+    assert str(ei.value) == (
+        "line 4, column 5: boundary cell (2,0) is '3', expected basepoint '.'"
+    )
+    doc = "dmap v1 w=3 h=3 codomain=S2 basepoint=-1\n. . . .\n. 2 . .\n. -2 2 .\n. . . .\n"
+    with pytest.raises(ParseError) as ei:
+        d.load_map(doc)
+    assert str(ei.value) == (
+        "line 4, column 3: cells (1,1) and (2,1) carry non-adjacent labels '-2' and '2'"
+    )
 
 
 def test_load_map_checks_codomain_consistency(T):
@@ -168,3 +190,72 @@ def test_token_helpers():
     assert d.index_of_token(".", d.S2) == 3
     assert d.index_of_token("-3", d.S2) == 5
     assert d.index_of_token("7", d.S2) is None
+
+
+def test_golden_certificate_round_trips_byte_for_byte():
+    doc = GOLDEN_CERT.read_text()
+    cert, lines = d.load_certificate(doc)
+    assert d.dump_certificate(cert) == doc
+    assert d.verify_certificate(cert).ok and len(lines) == len(cert.moves)
+    # the fixture exercises every S2 token in its grids and in its moves
+    body = doc.splitlines()
+    grids = body[2:7] + body[-5:]
+    six = {"1", "2", "3", ".", "-2", "-3"}
+    assert {t for row in grids for t in row.split()} == six
+    assert {ln.split()[3] for ln in body if ln.startswith("S ")} == six
+
+
+def test_dot_and_minus_one_load_to_the_same_certificate():
+    doc = GOLDEN_CERT.read_text()
+    spelled = re.sub(r"(?<!\S)\.(?!\S)", "-1", doc)
+    assert "." not in spelled and spelled != doc
+    a, _ = d.load_certificate(doc)
+    b, _ = d.load_certificate(spelled)
+    assert a.start.values == b.start.values and a.end.values == b.end.values
+    assert a.moves == b.moves
+    assert d.dump_certificate(b) == doc
+
+
+def test_non_standard_six_point_s2_keeps_decimal_tokens():
+    fake = d.DigitalImage(
+        name="S2",
+        points=tuple((i, 0) for i in range(6)),
+        adjacency=d.Explicit.from_pairs([(i, i + 1) for i in range(5)]),
+    )
+    assert d.token_of_index(3, fake) == "3"
+    assert d.index_of_token("3", fake) == 3
+    assert d.index_of_token(".", fake) is None
+    assert d.index_of_token("-1", fake) is None
+    # non-canonical decimal spellings still go through the numeric parse
+    assert d.index_of_token("005", fake) == 5
+    assert d.index_of_token("007", fake) is None  # 7 is past the last point
+    f = d.constant_map(d.Rectangle(2, 2), fake, 3)
+    doc = d.dump_map(f)
+    assert doc.splitlines()[1] == "3 3 3"
+    assert d.load_map(doc, codomain=fake).values == f.values
+    assert d.load_map(doc.replace("3 3 3", "003 3 3", 1), codomain=fake).values == f.values
+
+
+def _toggle_certificate(n_pairs: int) -> d.Certificate:
+    """An identity certificate padded with legal there-and-back moves."""
+    sea = d.constant_map(d.Rectangle(20, 20), d.S2, d.BASEPOINT)
+    moves = []
+    for k in range(n_pairs):
+        at = (1 + k % 19, 1 + (k // 19) % 19)
+        moves += [d.SpiderMove(at, 1), d.SpiderMove(at, d.BASEPOINT)]
+    return dataclasses.replace(d.identity_certificate(sea), moves=tuple(moves))
+
+
+def test_certificate_load_is_linear_in_moves():
+    def us_per_move(n_pairs):
+        doc = d.dump_certificate(_toggle_certificate(n_pairs))
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            cert, _ = d.load_certificate(doc)
+            best = min(best, time.perf_counter() - t0)
+        assert len(cert.moves) == 2 * n_pairs
+        return best / (2 * n_pairs) * 1e6
+
+    small, large = us_per_move(2_500), us_per_move(40_000)
+    assert large <= 2 * small, f"{large:.2f} us/move at 80k vs {small:.2f} at 5k"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dpi2 as d
+from dpi2 import homotopy
 
 from conftest import DATA, grid
 
@@ -180,6 +181,29 @@ def test_translate_trace_slide_right(T):
     assert d.verify_certificate(cert).ok
     expected = d.paste(sea(12, 8), d.SubRect(3, 7, 0, 4), T)
     assert cert.end.values == expected.values
+
+
+def test_doubling_trace_invariant_raises_on_corrupt_result(T, monkeypatch):
+    real = homotopy.apply_alpha
+    calls = []
+
+    def alpha(f, i):
+        calls.append(i)
+        # Calls 1-5 build the walk 4 -> 0; call 6 is the end-state check,
+        # which now sees a different doubling than the one the walk reached.
+        return real(f, i + 1 if len(calls) == 6 else i)
+
+    monkeypatch.setattr(homotopy, "apply_alpha", alpha)
+    with pytest.raises(RuntimeError, match="doubling trace"):
+        d.doubling_trace(T, 4, 0)
+    assert len(calls) == 6
+
+
+def test_translate_trace_invariant_raises_when_the_walk_misfires(T, monkeypatch):
+    f = d.paste(sea(12, 8), d.SubRect(0, 4, 0, 4), T)
+    monkeypatch.setattr(homotopy._TraceBuilder, "copy_column", lambda self, *a, **k: None)
+    with pytest.raises(RuntimeError, match="translation walk"):
+        d.translate_trace(f, d.SubRect(1, 3, 1, 3), (3, 0))
 
 
 def test_translate_trace_swaps_two_blocks(T, T_inv):
