@@ -1,21 +1,26 @@
-"""Brute-force homotopy decision on tiny instances, by breadth-first search.
+"""Brute-force homotopy decision on tiny instances, by bidirectional search.
 
 This is the independent ground-truth generator for small cases: it knows
 nothing about degrees, islands, or normalization.  Both maps are trivially
 extended to one padding rectangle and the search walks the graph whose
 vertices are continuous based maps and whose edges are single spider moves.
-Reaching the second map proves equivalence and yields a shortest certificate
-within that padding; exhausting the budget (or the component) proves nothing,
-which the result type states honestly.
+That graph is undirected (undoing a move is itself a legal move), so one
+breadth-first search grows from each map, and each round expands the smaller
+frontier by one whole level (Pohl, "Bi-directional search", 1971).  The first
+state both searches reach joins them into a shortest certificate within that
+padding.  The state cap counts the states of both searches together.
+Exhausting the cap, or either map's component, proves nothing, which the
+result type states honestly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .grid import Rectangle
+from .grid import DigitalImage, Rectangle
 from .gridmap import GridMap, trivial_extend
 from .homotopy import Certificate, SpiderMove, identity_certificate
 
@@ -47,6 +52,58 @@ class Unknown:
     reason: str
 
 
+# States expanded together, by one round of numpy calls.
+_CHUNK = 256
+
+
+def _expander(
+    rect: Rectangle, codomain: DigitalImage
+) -> Callable[[list[bytes]], Iterator[tuple[list[bytes], list[int], list[bytes]]]]:
+    """Return a function that lists the children of a list of states.
+
+    A child is a state one spider move away.  Label v may go to interior cell
+    p iff v is adjacent to the current labels of p and its eight neighbours:
+    the bitmask rule of `spider_valid` and the verifier.  The current label is
+    left out, so a child differs from its parent in exactly one cell.
+
+    The states are taken in chunks.  For each chunk the function yields the
+    chunk, the index in it of each child's parent, and the children: by
+    parent, then cells in raster order, then labels ascending.
+    """
+    w = rect.width
+    cells = np.array(
+        [b * w + a for b in range(1, rect.n) for a in range(1, rect.m)], dtype=np.intp
+    )
+    offsets = np.array([-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1], dtype=np.intp)
+    # around[k, i]: flat index of interior cell i's k-th neighbour.
+    around = cells[None, :] + offsets[:, None]
+    masks = codomain.adjacency_masks
+    dtype = np.min_scalar_type(max(masks))
+    mask_arr = np.array(masks, dtype=dtype)
+    # The labels a cell labelled v may take: adjacent to v, v itself excepted.
+    others = np.array([m & ~(1 << v) for v, m in enumerate(masks)], dtype=dtype)
+    shifts = np.arange(len(masks), dtype=dtype)
+    size = rect.width * rect.height
+
+    def expand(
+        states: list[bytes],
+    ) -> Iterator[tuple[list[bytes], list[int], list[bytes]]]:
+        for lo in range(0, len(states), _CHUNK):
+            chunk = states[lo : lo + _CHUNK]
+            arr = np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(-1, size)
+            allowed = np.bitwise_and.reduce(mask_arr[arr[:, around]], axis=1)
+            allowed &= others[arr[:, cells]]
+            parent, cell, label = np.nonzero((allowed[:, :, None] >> shifts) & 1)
+            kids = arr[parent]
+            kids[np.arange(len(parent)), cells[cell]] = label
+            flat = kids.tobytes()
+            yield chunk, parent.tolist(), [
+                flat[k : k + size] for k in range(0, len(flat), size)
+            ]
+
+    return expand
+
+
 def homotopy_decide(
     f: GridMap, g: GridMap, budget: SearchBudget | None = None
 ) -> Equivalent | Unknown:
@@ -75,80 +132,61 @@ def homotopy_decide(
     if start == target:
         return Equivalent(identity_certificate(f0))
 
-    cod = f.codomain
-    npts = len(cod.points)
-    amat = cod.adjacency_matrix
-    w = rect.width
-    cells = [
-        (b * w + a, a, b)
-        for b in range(1, rect.n)
-        for a in range(1, rect.m)
-    ]
-    if not cells:
-        # No interior at all: distinct maps cannot ever meet.
-        return Unknown(1, "component exhausted within padding")
-    pos_arr = np.array([p for p, _, _ in cells], dtype=np.int64)
-    # Column 0 is the cell itself, then its eight neighbors.
-    offsets = np.array([0, -w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1], dtype=np.int64)
-    neigh = pos_arr[:, None] + offsets[None, :]
+    expand = _expander(rect, f.codomain)
+    # Per side (0 grows from f, 1 from g): each visited state's parent, one
+    # move nearer the side's root, which has none; and the newest level.
+    visited: tuple[dict[bytes, bytes | None], ...] = ({start: None}, {target: None})
+    frontiers = [[start], [target]]
+    room = budget.max_states - 2
+    while True:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        own, other = visited[side], visited[1 - side]
+        level: list[bytes] = []
+        for chunk, parents, children in expand(frontiers[side]):
+            for k, child in zip(parents, children):
+                if child in own:
+                    continue
+                if child in other:
+                    own[child] = chunk[k]
+                    return Equivalent(_certificate(f0, g0, child, *visited))
+                if room <= 0:
+                    return Unknown(len(own) + len(other), "state budget exhausted")
+                room -= 1
+                own[child] = chunk[k]
+                level.append(child)
+        if not level:
+            return Unknown(len(own) + len(other), "component exhausted within padding")
+        frontiers[side] = level
 
-    # visited: state -> (parent state, position, new label); start has no parent.
-    visited: dict[bytes, tuple[bytes, int, int] | None] = {start: None}
-    frontier = [start]
-    capped = False
 
-    def reconstruct(state: bytes) -> Equivalent:
-        steps: list[SpiderMove] = []
-        cur = state
-        while True:
-            entry = visited[cur]
-            if entry is None:
-                break
-            cur, pos, v = entry
-            steps.append(SpiderMove((pos % w, pos // w), v))
-        steps.reverse()
-        cert = Certificate(
-            codomain=cod,
-            basepoint=f.basepoint,
-            common_rect=rect,
-            start=f0,
-            moves=tuple(steps),
-            end=g0,
-        )
-        return Equivalent(cert)
-
-    while frontier and not capped:
-        next_frontier: list[bytes] = []
-        for state in frontier:
-            arr = np.frombuffer(state, dtype=np.uint8)
-            around = arr[neigh]
-            # ok[v, i]: relabeling interior cell i to v keeps continuity.
-            ok = amat[:, around].all(axis=2)
-            cur_labels = arr[pos_arr]
-            for i, (pos, _, _) in enumerate(cells):
-                cur = int(cur_labels[i])
-                for v in range(npts):
-                    if v == cur or not ok[v, i]:
-                        continue
-                    child = state[:pos] + bytes([v]) + state[pos + 1 :]
-                    if child in visited:
-                        continue
-                    visited[child] = (state, pos, v)
-                    if child == target:
-                        return reconstruct(child)
-                    next_frontier.append(child)
-                    if len(visited) >= budget.max_states:
-                        capped = True
-                        break
-                if capped:
-                    break
-            if capped:
-                break
-        frontier = next_frontier
-
-    reason = (
-        "state budget exhausted"
-        if capped
-        else "component exhausted within padding"
+def _certificate(
+    f0: GridMap,
+    g0: GridMap,
+    meet: bytes,
+    fwd: dict[bytes, bytes | None],
+    bwd: dict[bytes, bytes | None],
+) -> Certificate:
+    """The path start -> meet along fwd parents, then meet -> target along bwd."""
+    path = []
+    state: bytes | None = meet
+    while state is not None:
+        path.append(state)
+        state = fwd[state]
+    path.reverse()
+    state = bwd[meet]
+    while state is not None:
+        path.append(state)
+        state = bwd[state]
+    w = f0.rect.width
+    moves = []
+    for before, after in zip(path, path[1:]):
+        pos = next(i for i, (x, y) in enumerate(zip(before, after)) if x != y)
+        moves.append(SpiderMove((pos % w, pos // w), after[pos]))
+    return Certificate(
+        codomain=f0.codomain,
+        basepoint=f0.basepoint,
+        common_rect=f0.rect,
+        start=f0,
+        moves=tuple(moves),
+        end=g0,
     )
-    return Unknown(len(visited), reason)

@@ -8,6 +8,7 @@ counts) were frozen after independent runs.
 import pytest
 
 import dpi2 as d
+from dpi2 import oracle
 
 from conftest import grid
 
@@ -141,8 +142,9 @@ def test_default_budget_applies(T):
 
 def test_shortest_path_through_padding(zero_map):
     # The two nonzero humps cancel only after the map is rewritten in place;
-    # searched at its native frame this needs millions of states, so this is
-    # the one deliberately slow test in the suite.
+    # searched at its native frame the two sides meet after about 680k
+    # states (a one-sided search needs millions), so this is the slowest
+    # oracle test.
     g = d.constant_map(zero_map.rect, d.S2, d.BASEPOINT)
     res = d.homotopy_decide(
         zero_map, g, d.SearchBudget(pad_limit=(6, 5), max_states=4_500_000)
@@ -150,3 +152,102 @@ def test_shortest_path_through_padding(zero_map):
     assert isinstance(res, d.Equivalent)
     assert len(res.certificate.moves) == 14
     assert d.verify_certificate(res.certificate).ok
+
+
+# ---------------------------------------------------------------------------
+# The search grows from both maps; these pin what that must not change.
+
+
+def criterion_8_pairs():
+    # the pairs of acceptance criterion 8: near pairs from one random stream,
+    # far pairs from two
+    for i in range(50):
+        m = 3 if i % 2 == 0 else 4
+        if i % 5 < 3:
+            yield (d.gen_random(i, m, m, moves=4 + i % 3),
+                   d.gen_random(i, m, m, moves=4 + i % 3 + 2))
+        else:
+            yield d.gen_random(2 * i, m, m, moves=6), d.gen_random(2 * i + 1, m, m, moves=6)
+
+
+def test_argument_order_does_not_change_the_answer():
+    budget = d.SearchBudget(pad_limit=(6, 6), max_states=40_000)
+    equiv = 0
+    for f, g in criterion_8_pairs():
+        there = d.homotopy_decide(f, g, budget)
+        back = d.homotopy_decide(g, f, budget)
+        assert type(there) is type(back)
+        if isinstance(there, d.Equivalent):
+            equiv += 1
+            assert len(there.certificate.moves) == len(back.certificate.moves)
+            assert d.verify_certificate(back.certificate).ok
+    assert equiv >= 20
+
+
+def spider_component_size(f):
+    """How many maps spider moves reach from f on f's own frame, f included."""
+    seen = {f.values}
+    todo = [f]
+    while todo:
+        h = todo.pop()
+        for a in range(1, h.rect.m):
+            for b in range(1, h.rect.n):
+                for v in range(len(h.codomain.points)):
+                    mv = d.SpiderMove((a, b), v)
+                    if d.spider_valid(h, mv):
+                        k = d.apply_spider(h, mv)
+                        if k.values not in seen:
+                            seen.add(k.values)
+                            todo.append(k)
+    return len(seen)
+
+
+def test_exhausting_the_second_maps_component(T):
+    # T's component is the finite one; as the second argument it is the
+    # backward search that runs dry
+    g = d.constant_map(T.rect, d.S2, d.BASEPOINT)
+    res = d.homotopy_decide(g, T, d.SearchBudget(pad_limit=(5, 5), max_states=50_000))
+    assert isinstance(res, d.Unknown)
+    assert res.reason == "component exhausted within padding"
+    # the count holds all of T's component plus the states of the other side
+    assert spider_component_size(T) < res.states_explored < 50_000
+
+
+def test_state_cap_is_shared_by_both_searches():
+    f = d.gen_random(9, 4, 4, moves=30)
+    g = d.constant_map(f.rect, d.S2, d.BASEPOINT)
+    for cap in (1, 2, 3, 10, 200, 5_000):
+        res = d.homotopy_decide(f, g, d.SearchBudget(pad_limit=(7, 7), max_states=cap))
+        assert isinstance(res, d.Unknown)
+        assert res.reason == "state budget exhausted"
+        # both start states count from the outset
+        assert res.states_explored == max(cap, 2)
+
+
+def test_children_are_exactly_the_valid_spider_moves(monkeypatch):
+    # the search's expansion and spider_valid must agree on every move, with
+    # children by parent, then cells in raster order, then labels ascending
+    monkeypatch.setattr(oracle, "_CHUNK", 7)  # several chunks per call
+    states = 0
+    for m, n in ((5, 4), (5, 5)):  # 6x5 and 6x6 point pads
+        maps = [
+            d.gen_random(seed, m, n, moves=seed * 3, plant=seed % 3 - 1)
+            for seed in range(30)
+        ]
+        want = []
+        for f in maps:
+            for b in range(1, n):
+                for a in range(1, m):
+                    for v in range(len(d.S2.points)):
+                        mv = d.SpiderMove((a, b), v)
+                        if v != f.value_at(a, b) and d.spider_valid(f, mv):
+                            want.append((f.values, d.apply_spider(f, mv).values))
+        expand = oracle._expander(d.Rectangle(m, n), d.S2)
+        got = [
+            (chunk[k], child)
+            for chunk, parents, children in expand([f.values for f in maps])
+            for k, child in zip(parents, children)
+        ]
+        assert got == want
+        states += len(maps)
+    assert states >= 50
