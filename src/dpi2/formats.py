@@ -25,7 +25,7 @@ from .grid import (
     values_continuous,
 )
 from .gridmap import GridMap, from_array
-from .homotopy import Certificate, SpiderMove
+from .homotopy import Certificate, PackedMoves
 from .sphere import make_sphere
 
 
@@ -290,6 +290,26 @@ def _check_grid(
         )
 
 
+def _grid_map(
+    arr: np.ndarray,
+    codomain: DigitalImage,
+    basepoint: int,
+    table: TokenTable,
+    rows: list[tuple[int, str]],
+) -> GridMap:
+    """Build a parsed grid's map, locating any fault in its source rows.
+
+    GridMap validates the grid itself; only a grid it rejects is walked
+    again by ``_check_grid`` for the line and column of the first fault.
+    """
+    try:
+        return from_array(arr, codomain, basepoint)
+    except ValueError as exc:
+        error = exc
+    _check_grid(arr, basepoint, table, rows)
+    raise error
+
+
 # ---------------------------------------------------------------------------
 # .dmap
 
@@ -335,13 +355,14 @@ def load_map(text: str, codomain: DigitalImage | None = None) -> GridMap:
     rows = lines[1:]
     if len(rows) > n + 1:
         raise ParseError("unexpected content after grid rows", rows[n + 1][0])
-    arr = _parse_grid_rows(rows, m, n, table)
-    _check_grid(arr, bp, table, rows)
-    return from_array(arr, cod, bp)
+    return _grid_map(_parse_grid_rows(rows, m, n, table), cod, bp, table, rows)
 
 
 # ---------------------------------------------------------------------------
 # .dcert
+
+# Packed certificate moves hold their coordinates as int64.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def dump_certificate(cert: Certificate) -> str:
@@ -353,7 +374,11 @@ def dump_certificate(cert: Certificate) -> str:
     ]
     lines += _grid_to_lines(cert.start.array, tokens)
     lines.append("moves")
-    lines += [f"S {mv.at[0]} {mv.at[1]} {tokens[mv.new_value]}" for mv in cert.moves]
+    mv = cert.moves
+    lines += [
+        f"S {a} {b} {tokens[v]}"
+        for a, b, v in zip(mv.a.tolist(), mv.b.tolist(), mv.label.tolist())
+    ]
     lines.append("end")
     lines += _grid_to_lines(cert.end.array, tokens)
     return "\n".join(lines) + "\n"
@@ -394,14 +419,15 @@ def load_certificate(
     start_rows = body[1 : n + 2]
     start_arr = _parse_grid_rows(start_rows, m, n, table)
     bp = int(start_arr[0, 0])
-    _check_grid(start_arr, bp, table, start_rows)
-    start = from_array(start_arr, cod, bp)
+    start = _grid_map(start_arr, cod, bp, table, start_rows)
 
     k = n + 2  # walks body by index: slicing it per move would be quadratic
     if k == len(body) or body[k][1].strip() != "moves":
         raise ParseError("expected 'moves' section", body[k][0] if k < len(body) else lno)
     index = table.index
-    moves: list[SpiderMove] = []
+    move_a: list[int] = []
+    move_b: list[int] = []
+    move_labels: list[int] = []
     move_lines: list[int] = []
     for k in range(k + 1, len(body)):
         mlno, line = body[k]
@@ -414,26 +440,28 @@ def load_certificate(
             a, b = int(mt[1]), int(mt[2])
         except ValueError:
             raise ParseError("move coordinates must be integers", mlno) from None
+        if not (_INT64_MIN <= a <= _INT64_MAX and _INT64_MIN <= b <= _INT64_MAX):
+            raise ParseError("move coordinates must fit in 64 bits", mlno)
         idx = index(mt[3])
         if idx is None:
             raise ParseError(f"unknown label token {mt[3]!r}", mlno)
-        moves.append(SpiderMove((a, b), idx))
+        move_a.append(a)
+        move_b.append(b)
+        move_labels.append(idx)
         move_lines.append(mlno)
     else:
         raise ParseError("expected 'end' section", lines[-1][0])
     end_rows = body[k + 1 :]
     if len(end_rows) > n + 1:
         raise ParseError("unexpected content after end grid", end_rows[n + 1][0])
-    end_arr = _parse_grid_rows(end_rows, m, n, table)
-    _check_grid(end_arr, bp, table, end_rows)
-    end = from_array(end_arr, cod, bp)
+    end = _grid_map(_parse_grid_rows(end_rows, m, n, table), cod, bp, table, end_rows)
 
     cert = Certificate(
         codomain=cod,
         basepoint=bp,
         common_rect=Rectangle(m, n),
         start=start,
-        moves=tuple(moves),
+        moves=PackedMoves(move_a, move_b, move_labels),
         end=end,
     )
     return cert, move_lines

@@ -14,7 +14,9 @@ valid verbatim on any larger rectangle.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +33,88 @@ class SpiderMove:
 
     at: tuple[int, int]
     new_value: int
+
+
+class PackedMoves(Sequence):
+    """A certificate's moves, packed as three read-only int64 arrays.
+
+    ``a``, ``b`` and ``label`` hold each move's cell and new label, 24 bytes
+    per move.  The sequence reads like a tuple of SpiderMoves: ``len``,
+    indexing, slicing and iteration build them on demand, and it compares
+    equal to a tuple or list of the same moves.  Coordinates are not
+    required to lie in any rectangle; the verifier rejects those that do not.
+    """
+
+    __slots__ = ("_abl",)
+
+    def __init__(self, a=(), b=(), label=()):
+        try:
+            abl = np.array((a, b, label), dtype=np.int64)
+        except OverflowError:
+            raise ValueError("move coordinates and labels must fit in int64") from None
+        abl.setflags(write=False)
+        self._abl = abl
+
+    @classmethod
+    def of(cls, moves) -> "PackedMoves":
+        """Pack an iterable of SpiderMoves (a PackedMoves is returned as is)."""
+        if isinstance(moves, PackedMoves):
+            return moves
+        moves = list(moves)
+        return cls(
+            [mv.at[0] for mv in moves],
+            [mv.at[1] for mv in moves],
+            [mv.new_value for mv in moves],
+        )
+
+    @classmethod
+    def join(cls, parts) -> "PackedMoves":
+        """The moves of each part in turn, copied once into new arrays."""
+        arrays = [p._abl for p in parts]
+        if not arrays:
+            return cls()
+        out = cls.__new__(cls)
+        out._abl = np.concatenate(arrays, axis=1)
+        out._abl.setflags(write=False)
+        return out
+
+    @property
+    def a(self) -> np.ndarray:
+        return self._abl[0]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self._abl[1]
+
+    @property
+    def label(self) -> np.ndarray:
+        return self._abl[2]
+
+    def __len__(self) -> int:
+        return self._abl.shape[1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PackedMoves(*self._abl[:, i])
+        a, b, v = self._abl[:, i].tolist()
+        return SpiderMove((a, b), v)
+
+    def __iter__(self):
+        for a, b, v in zip(*self._abl.tolist()):
+            yield SpiderMove((a, b), v)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PackedMoves):
+            return np.array_equal(self._abl, other._abl)
+        if isinstance(other, (tuple, list)):
+            return len(other) == len(self) and all(x == y for x, y in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))  # equal to a tuple of the same moves, so hash alike
+
+    def __repr__(self) -> str:
+        return f"PackedMoves(<{len(self)} moves>)"
 
 
 @dataclass(frozen=True)
@@ -54,17 +138,19 @@ class Certificate:
 
     Both endpoint maps live on ``common_rect``; maps on smaller rectangles
     are trivially extended before a certificate is built, never truncated.
+    ``moves`` may be given as any iterable of SpiderMoves and is stored as
+    PackedMoves.
     """
 
     codomain: DigitalImage
     basepoint: int
     common_rect: Rectangle
     start: GridMap
-    moves: tuple[SpiderMove, ...]
+    moves: PackedMoves
     end: GridMap
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "moves", tuple(self.moves))
+        object.__setattr__(self, "moves", PackedMoves.of(self.moves))
         for name, g in (("start", self.start), ("end", self.end)):
             if g.rect != self.common_rect:
                 raise ValueError(f"{name} map is not on the common rectangle")
@@ -107,7 +193,7 @@ class Certificate:
             basepoint=a.basepoint,
             common_rect=a.common_rect,
             start=a.start,
-            moves=a.moves + b.moves,
+            moves=PackedMoves.join([a.moves, b.moves]),
             end=b.end,
         )
 
@@ -178,25 +264,31 @@ def apply_spider(f: GridMap, mv: SpiderMove) -> GridMap:
 # One-step homotopies.
 
 
-def _one_step_arrays(fa: np.ndarray, ga: np.ndarray, amat: np.ndarray) -> bool:
-    """The pairwise criterion f(x) ~ g(x') for all x ~ x' over two grids.
+def _one_step_ok(fa: np.ndarray, ga: np.ndarray, amat: np.ndarray) -> np.ndarray:
+    """The pairwise criterion f(x) ~ g(x') for all x ~ x', per grid of a stack.
 
-    Covers x = x' and the four unordered direction classes, each checked in
-    both (f, g) role orders.
+    ``fa`` and ``ga`` are (..., rows, cols) stacks of grids; the result holds
+    one verdict per grid.  Covers x = x' and the four unordered direction
+    classes, each checked in both (f, g) role orders.  Pairs are looked up
+    in the flattened adjacency matrix at f * size + g.
     """
-    if not amat[fa, ga].all():
-        return False
+    flat = amat.ravel()
+    fa = fa.astype(np.intp) * amat.shape[1]
     checks = (
-        (fa[:, :-1], ga[:, 1:]),
-        (fa[:, 1:], ga[:, :-1]),
-        (fa[:-1, :], ga[1:, :]),
-        (fa[1:, :], ga[:-1, :]),
-        (fa[:-1, :-1], ga[1:, 1:]),
-        (fa[1:, 1:], ga[:-1, :-1]),
-        (fa[1:, :-1], ga[:-1, 1:]),
-        (fa[:-1, 1:], ga[1:, :-1]),
+        (fa, ga),
+        (fa[..., :, :-1], ga[..., :, 1:]),
+        (fa[..., :, 1:], ga[..., :, :-1]),
+        (fa[..., :-1, :], ga[..., 1:, :]),
+        (fa[..., 1:, :], ga[..., :-1, :]),
+        (fa[..., :-1, :-1], ga[..., 1:, 1:]),
+        (fa[..., 1:, 1:], ga[..., :-1, :-1]),
+        (fa[..., 1:, :-1], ga[..., :-1, 1:]),
+        (fa[..., :-1, 1:], ga[..., 1:, :-1]),
     )
-    return all(amat[x, y].all() for x, y in checks)
+    ok = np.ones(fa.shape[:-2], dtype=bool)
+    for x, y in checks:
+        ok &= flat[x + y].all(axis=(-2, -1))
+    return ok
 
 
 def one_step_check(f: GridMap, g: GridMap) -> bool:
@@ -205,7 +297,7 @@ def one_step_check(f: GridMap, g: GridMap) -> bool:
         raise ValueError("one-step check requires equal domains")
     if f.codomain != g.codomain or f.basepoint != g.basepoint:
         raise ValueError("one-step check requires equal codomain and basepoint")
-    return _one_step_arrays(f.array, g.array, f.codomain.adjacency_matrix)
+    return bool(_one_step_ok(f.array, g.array, f.codomain.adjacency_matrix))
 
 
 def decompose_one_step(f: GridMap, g: GridMap) -> list[SpiderMove]:
@@ -218,11 +310,10 @@ def decompose_one_step(f: GridMap, g: GridMap) -> list[SpiderMove]:
     """
     if not one_step_check(f, g):
         raise ValueError("maps are not one-step homotopic")
-    diff = f.array != g.array
-    bs, as_ = np.nonzero(diff)
+    bs, as_ = np.nonzero(f.array != g.array)
     return [
-        SpiderMove((int(a), int(b)), int(g.array[b, a]))
-        for b, a in zip(bs.tolist(), as_.tolist())
+        SpiderMove((a, b), v)
+        for b, a, v in zip(bs.tolist(), as_.tolist(), g.array[bs, as_].tolist())
     ]
 
 
@@ -259,10 +350,12 @@ def flood(f: GridMap, b: int) -> tuple[GridMap, list[SpiderMove]]:
 class _TraceBuilder:
     """Accumulates spider moves while mutating a working copy of a map.
 
-    All emission goes through one-step windows: the caller proposes new
-    contents for a subrectangle, the builder checks the pairwise criterion
-    on the window grown by one cell (cells further out cannot see the
-    change), then records the changed cells in raster order.
+    All emission is made of one-step rewrites: the builder checks the
+    pairwise criterion on each rewritten window grown by one cell (cells
+    further out cannot see the change), then records the changed cells in
+    raster order.  ``one_step`` takes one window; ``shift`` takes a whole
+    walk of line copies at once.  Moves are kept as a list of PackedMoves,
+    joined once into the certificate.
     """
 
     def __init__(self, start: GridMap):
@@ -271,7 +364,7 @@ class _TraceBuilder:
         self.basepoint = start.basepoint
         self.rect = start.rect
         self.arr = np.array(start.array)
-        self.moves: list[SpiderMove] = []
+        self._chunks: list[PackedMoves] = []
 
     def one_step(self, window: SubRect, new_block: np.ndarray) -> None:
         """Rewrite ``window`` to ``new_block`` as one one-step homotopy."""
@@ -288,42 +381,136 @@ class _TraceBuilder:
             window.b_lo - gb0 : window.b_hi - gb0 + 1,
             window.a_lo - ga0 : window.a_hi - ga0 + 1,
         ] = new_block
-        if not _one_step_arrays(sub_f, sub_g, self.codomain.adjacency_matrix):
+        if not _one_step_ok(sub_f, sub_g, self.codomain.adjacency_matrix):
             raise ValueError(f"window rewrite at {window} is not a one-step homotopy")
         cur = self.arr[
             window.b_lo : window.b_hi + 1, window.a_lo : window.a_hi + 1
         ]
         bs, as_ = np.nonzero(cur != new_block)
-        for b, a in zip(bs.tolist(), as_.tolist()):
-            aa, bb = window.a_lo + a, window.b_lo + b
-            if aa in (0, m) or bb in (0, n):
-                raise ValueError(f"window rewrite would move boundary cell {(aa, bb)}")
-            self.moves.append(SpiderMove((aa, bb), int(new_block[b, a])))
-        self.arr[
-            window.b_lo : window.b_hi + 1, window.a_lo : window.a_hi + 1
-        ] = new_block
+        aa, bb = as_ + window.a_lo, bs + window.b_lo
+        edge = (aa == 0) | (aa == m) | (bb == 0) | (bb == n)
+        if edge.any():
+            i = int(edge.argmax())  # the first offending cell in raster order
+            raise ValueError(
+                f"window rewrite would move boundary cell {(int(aa[i]), int(bb[i]))}"
+            )
+        if aa.size:
+            self._chunks.append(PackedMoves(aa, bb, new_block[bs, as_]))
+        cur[...] = new_block
 
-    def one_step_to(self, new_arr: np.ndarray) -> None:
-        """Full-grid one-step rewrite (used by flood stages)."""
-        self.one_step(SubRect(0, self.rect.m, 0, self.rect.n), new_arr)
+    def flood(self, label: int) -> None:
+        """Flood the whole grid by ``label``, taking ``flood``'s checked moves."""
+        g, moves = flood(self.current_map(), label)
+        self._chunks.append(PackedMoves.of(moves))
+        self.arr = np.array(g.array)
 
-    def copy_column(
-        self, dst: int, src: int, rows: tuple[int, int] | None = None
+    def shift(
+        self,
+        axis: str,
+        lo: int,
+        hi: int,
+        step: int,
+        span: tuple[int, int] | None = None,
+        times: int = 1,
     ) -> None:
-        """One-step: column ``dst`` takes the current values of column ``src``."""
-        b_lo, b_hi = rows if rows is not None else (0, self.rect.n)
-        self.one_step(
-            SubRect(dst, dst, b_lo, b_hi),
-            self.arr[b_lo : b_hi + 1, src : src + 1],
-        )
+        """Shift content by ``step`` (+1 or -1) lines into lines ``lo..hi``.
 
-    def copy_row(self, dst: int, src: int, cols: tuple[int, int] | None = None) -> None:
-        """One-step: row ``dst`` takes the current values of row ``src``."""
-        a_lo, a_hi = cols if cols is not None else (0, self.rect.m)
-        self.one_step(
-            SubRect(a_lo, a_hi, dst, dst),
-            self.arr[src : src + 1, a_lo : a_hi + 1],
+        Lines are columns for ``axis="a"`` and rows for ``axis="b"``; with
+        ``span``, only the cells from ``span[0]`` to ``span[1]`` across the
+        lines move.  This is the walk of one-step rewrites in which line j
+        takes the current value of line j - step, farthest from the source
+        first (hi down to lo for step +1), so each line receives its
+        neighbour's value from before the walk.  ``times`` repeats the walk
+        on lines moved on by ``step`` each time, carrying a run of lines
+        along.
+
+        Every intermediate state is known in closed form, so all steps are
+        checked in one vectorised call.  After t walks, the run of lines sits
+        t lines on and the lines it left hold copies of its trailing line.
+        Within a walk, the lines already passed hold their neighbour's value
+        from before the walk.  This holds inside the span; all else keeps its
+        original value.  Moves come out as the stepwise walks emit them: line
+        by line, raster order within a line.  An invalid walk raises
+        ValueError naming its first bad step, and emits nothing.
+        """
+        if axis not in ("a", "b") or step not in (1, -1) or times < 1:
+            raise ValueError(f"cannot shift along {axis!r} by {step}, {times} times")
+        grid = self.arr if axis == "a" else self.arr.T  # indexed [across, line]
+        last_c, last_l = grid.shape[0] - 1, grid.shape[1] - 1
+        s0, s1 = span if span is not None else (0, last_c)
+        reach = (times - 1) * step
+        first, last = min(lo - step, lo + reach), max(hi - step, hi + reach)
+        if not (lo <= hi and 0 <= first and last <= last_l and 0 <= s0 <= s1 <= last_c):
+            raise ValueError(
+                f"shift of lines {lo}..{hi} by {step} across {s0}..{s1} "
+                f"leaves I_{{{self.rect.m},{self.rect.n}}}"
+            )
+        # The lines first - 1 .. last + 1 across s0 - 1 .. s1 + 1, where cells
+        # beyond the rectangle get a wildcard label adjacent to every label.
+        npts = len(self.codomain.points)
+        amat = np.ones((npts + 1, npts + 1), dtype=bool)
+        amat[:npts, :npts] = self.codomain.adjacency_matrix
+        l0 = first - 1
+        region = np.full((s1 - s0 + 3, last - first + 3), npts, np.min_scalar_type(npts))
+        rc0, rc1 = max(s0 - 1, 0), min(s1 + 1, last_c)
+        rl0, rl1 = max(l0, 0), min(last + 1, last_l)
+        region[rc0 - s0 + 1 : rc1 - s0 + 2, rl0 - l0 : rl1 - l0 + 1] = grid[
+            rc0 : rc1 + 1, rl0 : rl1 + 1
+        ]
+        back = (lo if step > 0 else hi) - step  # the run's trailing line
+
+        def held(lines, t):
+            """The line whose original value ``lines`` hold after t walks."""
+            moved = lines - t * step
+            left = (lines - back) * step
+            return np.where(
+                (0 <= left) & (left <= t),
+                back,
+                np.where((lo - step <= moved) & (moved <= hi - step), moved, lines),
+            )
+
+        one = np.arange(hi, lo - 1, -1) if step > 0 else np.arange(lo, hi + 1)
+        t = np.repeat(np.arange(times), len(one))
+        walk = np.tile(one, times) + t * step
+        # Per step, lines j - 1, j, j + 1 before its walk; positions ``src``
+        # and ``done`` hold lines j - step and j + step.
+        near = walk[:, None] + (-1, 0, 1)
+        orig = np.empty((len(walk), region.shape[0], 3), region.dtype)
+        orig[:, 1:-1] = region[1:-1, held(near, t[:, None]) - l0].transpose(1, 0, 2)
+        orig[:, 0] = region[0, near - l0]
+        orig[:, -1] = region[-1, near - l0]
+        src, done = 1 - step, 1 + step
+        passed = np.arange(len(walk)) % len(one) != 0  # all but each walk's first
+        before = np.array(orig)
+        before[passed, 1:-1, done] = orig[passed, 1:-1, 1]
+        after = np.array(before)
+        after[:, 1:-1, 1] = orig[:, 1:-1, src]
+        ok = _one_step_ok(before, after, amat)
+
+        new = orig[:, 1:-1, src]
+        changed = new != orig[:, 1:-1, 1]
+        across = np.arange(s0, s1 + 1)
+        edge = changed & (
+            ((walk == 0) | (walk == last_l))[:, None]
+            | ((across == 0) | (across == last_c))[None, :]
         )
+        bad = ~ok | edge.any(axis=1)
+        if bad.any():
+            k = int(bad.argmax())
+            j = int(walk[k])
+            if not ok[k]:
+                window = SubRect(j, j, s0, s1) if axis == "a" else SubRect(s0, s1, j, j)
+                raise ValueError(f"window rewrite at {window} is not a one-step homotopy")
+            c = s0 + int(edge[k].argmax())
+            cell = (j, c) if axis == "a" else (c, j)
+            raise ValueError(f"window rewrite would move boundary cell {cell}")
+        ks, cs = np.nonzero(changed)
+        if ks.size:
+            lines, cells = walk[ks], cs + s0
+            a, b = (lines, cells) if axis == "a" else (cells, lines)
+            self._chunks.append(PackedMoves(a, b, new[ks, cs]))
+        span_lines = np.arange(first, last + 1)
+        grid[s0 : s1 + 1, first : last + 1] = region[1:-1, held(span_lines, times) - l0]
 
     def spider(self, a: int, b: int, v: int) -> None:
         """Emit a single validated spider move."""
@@ -338,7 +525,7 @@ class _TraceBuilder:
             basepoint=self.basepoint,
             common_rect=self.rect,
             start=self.start,
-            moves=tuple(self.moves),
+            moves=PackedMoves.join(self._chunks),
             end=self.current_map(),
         )
 
@@ -402,25 +589,13 @@ def _emit_translate(builder: "_TraceBuilder", r: SubRect, delta: tuple[int, int]
     if (swept != bp).any():
         raise ValueError("swept region is not clear of content")
 
-    cur = r
-    step = 1 if dx > 0 else -1
-    for _ in range(abs(dx)):
-        if step > 0:
-            for j in range(cur.a_hi + 1, cur.a_lo - 1, -1):
-                builder.copy_column(j, j - 1, rows=(bb0, bb1))
-        else:
-            for j in range(cur.a_lo - 1, cur.a_hi + 1):
-                builder.copy_column(j, j + 1, rows=(bb0, bb1))
-        cur = cur.shifted(step, 0)
-    step = 1 if dy > 0 else -1
-    for _ in range(abs(dy)):
-        if step > 0:
-            for rr in range(cur.b_hi + 1, cur.b_lo - 1, -1):
-                builder.copy_row(rr, rr - 1, cols=(ba0, ba1))
-        else:
-            for rr in range(cur.b_lo - 1, cur.b_hi + 1):
-                builder.copy_row(rr, rr + 1, cols=(ba0, ba1))
-        cur = cur.shifted(0, step)
+    if dx:
+        lo, hi = (r.a_lo, r.a_hi + 1) if dx > 0 else (r.a_lo - 1, r.a_hi)
+        builder.shift("a", lo, hi, 1 if dx > 0 else -1, span=(bb0, bb1), times=abs(dx))
+    if dy:
+        cur = r.shifted(dx, 0)
+        lo, hi = (cur.b_lo, cur.b_hi + 1) if dy > 0 else (cur.b_lo - 1, cur.b_hi)
+        builder.shift("b", lo, hi, 1 if dy > 0 else -1, span=(ba0, ba1), times=abs(dy))
 
     expected = before
     block = np.array(before[r.b_lo : r.b_hi + 1, r.a_lo : r.a_hi + 1])
@@ -475,37 +650,44 @@ def verify_certificate(c: Certificate) -> VerifyResult:
         if not values_continuous(arr, amat):
             return VerifyResult(False, f"{name} map not continuous")
 
+    # The range checks run on the arrays up front; replay stops at the first
+    # move that fails them, and that move is reported if replay gets there.
+    a, b, v = c.moves.a, c.moves.b, c.moves.label
+    outside = (a <= 0) | (a >= rect.m) | (b <= 0) | (b >= rect.n)
+    rejected = outside | (v < 0) | (v >= npts)
+    stop = int(rejected.argmax()) if rejected.any() else len(rejected)
     masks = c.codomain.adjacency_masks
+    n0, n1, n2, n3, n4, n5, n6, n7 = (db * w + da for da, db in _OFFSETS)
     vals = bytearray(c.start.values)
-    for idx, mv in enumerate(c.moves):
-        a, b = mv.at
-        if not (0 < a < rect.m and 0 < b < rect.n):
+    # Replayed in blocks, so that only one block's moves exist as Python ints.
+    pos_ok, val_ok = b[:stop] * w + a[:stop], v[:stop]
+    replay = chain.from_iterable(
+        zip(pos_ok[i : i + 65536].tolist(), val_ok[i : i + 65536].tolist())
+        for i in range(0, stop, 65536)
+    )
+    for idx, (pos, val) in enumerate(replay):
+        mask = masks[val]
+        if not (
+            (mask >> vals[pos])
+            & (mask >> vals[pos + n0]) & (mask >> vals[pos + n1])
+            & (mask >> vals[pos + n2]) & (mask >> vals[pos + n3])
+            & (mask >> vals[pos + n4]) & (mask >> vals[pos + n5])
+            & (mask >> vals[pos + n6]) & (mask >> vals[pos + n7])
+            & 1
+        ):
+            at = (pos % w, pos // w)
+            what = "current value" if not (mask >> vals[pos]) & 1 else "a neighbor"
             return VerifyResult(
-                False, f"move {idx} targets boundary or exterior cell {mv.at}", idx
+                False, f"move {idx} at {at}: new value not adjacent to {what}", idx
             )
-        v = mv.new_value
-        if not 0 <= v < npts:
-            return VerifyResult(False, f"move {idx} value {v} outside codomain", idx)
-        pos = b * w + a
-        mask = masks[v]
-        if not (mask >> vals[pos]) & 1:
-            return VerifyResult(
-                False,
-                f"move {idx} at {mv.at}: new value not adjacent to current value",
-                idx,
-            )
-        ok = True
-        for da, db in _OFFSETS:
-            if not (mask >> vals[pos + db * w + da]) & 1:
-                ok = False
-                break
-        if not ok:
-            return VerifyResult(
-                False,
-                f"move {idx} at {mv.at}: new value not adjacent to a neighbor",
-                idx,
-            )
-        vals[pos] = v
+        vals[pos] = val
+    if stop < len(rejected):
+        at = (int(a[stop]), int(b[stop]))
+        if outside[stop]:
+            reason = f"move {stop} targets boundary or exterior cell {at}"
+        else:
+            reason = f"move {stop} value {int(v[stop])} outside codomain"
+        return VerifyResult(False, reason, stop)
     if bytes(vals) != c.end.values:
         return VerifyResult(False, "replayed moves do not reach the end map")
     return VerifyResult(True)

@@ -30,7 +30,6 @@ from .homotopy import (
     Certificate,
     _TraceBuilder,
     _emit_translate,
-    flood,
     identity_certificate,
 )
 from .sphere import BASEPOINT, S2, antipode
@@ -115,18 +114,14 @@ def _dup_column_walk(builder: _TraceBuilder, p: int) -> None:
     nonsea = np.nonzero((builder.arr != _SEA).any(axis=0))[0]
     if nonsea.size == 0 or int(nonsea.max()) < p:
         return
-    top = int(nonsea.max())
-    for j in range(top + 1, p, -1):
-        builder.copy_column(j, j - 1)
+    builder.shift("a", p + 1, int(nonsea.max()) + 1, 1)
 
 
 def _dup_row_walk(builder: _TraceBuilder, p: int) -> None:
     nonsea = np.nonzero((builder.arr != _SEA).any(axis=1))[0]
     if nonsea.size == 0 or int(nonsea.max()) < p:
         return
-    top = int(nonsea.max())
-    for j in range(top + 1, p, -1):
-        builder.copy_row(j, j - 1)
+    builder.shift("b", p + 1, int(nonsea.max()) + 1, 1)
 
 
 def _emit_subdivision(builder: _TraceBuilder, f: GridMap, k: int) -> None:
@@ -246,8 +241,7 @@ def isolate_e1(f: GridMap, k: int) -> tuple[GridMap, Certificate]:
     _emit_subdivision(builder, f, k)
     _emit_adjustments(builder, f, k)
     for label in (1, 2, _SEA):  # e2, e3, then the basepoint wash
-        flooded, _ = flood(builder.current_map(), label)
-        builder.one_step_to(flooded.array)
+        builder.flood(label)
     g = builder.current_map()
     _check_isolated(g, k)
     return g, builder.certificate()
@@ -365,8 +359,7 @@ def _rotate_island(builder: _TraceBuilder, cx: int, cy: int) -> None:
     if top > n - 2:
         raise ValueError("no vertical headroom to rotate an island")
     x, y, z, w = _island_form(builder, cx, cy)
-    for rr in range(top + 1, cy, -1):
-        builder.copy_row(rr, rr - 1)
+    builder.shift("b", cy + 1, top + 1, 1)
     for (a, b), v in (
         ((cx - 1, cy + 2), w),
         ((cx + 1, cy - 1), y),
@@ -380,8 +373,7 @@ def _rotate_island(builder: _TraceBuilder, cx: int, cy: int) -> None:
         ((cx + 1, cy + 1), y),
     ):
         builder.spider(a, b, v)
-    for rr in range(cy, top + 2):
-        builder.copy_row(rr, rr + 1)
+    builder.shift("b", cy, top + 1, -1)
 
 
 def _flip_to_mirror(builder: _TraceBuilder, cx: int, cy: int) -> None:
@@ -463,11 +455,10 @@ def _emit_pair_collapse(
     duplicates, shortening the palindrome until everything is sea.
     """
     for kk in range(half, 0, -1):
-        builder.copy_column(c0 + kk, c0 + kk - 1, rows)
-        builder.copy_column(c0 + kk + 1, c0 + kk, rows)
+        builder.shift("a", c0 + kk, c0 + kk, 1, rows)
+        builder.shift("a", c0 + kk + 1, c0 + kk + 1, 1, rows)
         for _ in range(2):
-            for jj in range(c0 + kk, c0 + 2 * half + 1):
-                builder.copy_column(jj, jj + 1, rows)
+            builder.shift("a", c0 + kk, c0 + 2 * half, -1, rows)
 
 
 def cancel_certificate(f: GridMap) -> Certificate:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .grid import DigitalImage, Rectangle
 from .gridmap import GridMap, trivial_extend
-from .homotopy import Certificate, SpiderMove, identity_certificate
+from .homotopy import Certificate, PackedMoves, identity_certificate
 
 
 @dataclass(frozen=True)
@@ -178,15 +178,16 @@ def _certificate(
         path.append(state)
         state = bwd[state]
     w = f0.rect.width
-    moves = []
+    cells, labels = [], []
     for before, after in zip(path, path[1:]):
         pos = next(i for i, (x, y) in enumerate(zip(before, after)) if x != y)
-        moves.append(SpiderMove((pos % w, pos // w), after[pos]))
+        cells.append(pos)
+        labels.append(after[pos])
     return Certificate(
         codomain=f0.codomain,
         basepoint=f0.basepoint,
         common_rect=f0.rect,
         start=f0,
-        moves=tuple(moves),
+        moves=PackedMoves([p % w for p in cells], [p // w for p in cells], labels),
         end=g0,
     )

@@ -201,3 +201,15 @@ def test_usage_error_exit_code(capsys):
     assert cli.run(["degree"]) == 2  # missing argument -> usage error
     cap = capsys.readouterr()
     assert "usage:" in cap.err
+
+
+def test_verify_rejects_a_move_coordinate_past_int64(capsys, tmp_path, tmap):
+    cert_path = tmp_path / "t.dcert"
+    run(capsys, ["normalize", "--cert", str(cert_path), str(tmap)])
+    lines = cert_path.read_text().split("\n")
+    k = lines.index("moves") + 1
+    lines[k] = f"S {2**63} 1 1"
+    cert_path.write_text("\n".join(lines))
+    code, out, err = run(capsys, ["verify", str(cert_path)])
+    assert code == 1 and out == ""
+    assert err == f"error: line {k + 1}: move coordinates must fit in 64 bits\n"

@@ -259,3 +259,37 @@ def test_certificate_load_is_linear_in_moves():
 
     small, large = us_per_move(2_500), us_per_move(40_000)
     assert large <= 2 * small, f"{large:.2f} us/move at 80k vs {small:.2f} at 5k"
+
+
+def _with_first_move(doc: str, move: str) -> tuple[str, int]:
+    """``doc`` with its first move line replaced, and that line's number."""
+    lines = doc.split("\n")
+    k = lines.index("moves") + 1
+    lines[k] = move
+    return "\n".join(lines), k + 1
+
+
+def test_certificate_move_coordinates_must_fit_in_int64(T):
+    doc = d.dump_certificate(d.doubling_trace(T, 4, 0))
+    for a in (2**63 - 1, -(2**63)):
+        cert, _ = d.load_certificate(_with_first_move(doc, f"S {a} 2 1")[0])
+        res = d.verify_certificate(cert)
+        assert res.move_index == 0 and "exterior cell" in res.reason
+    for a, b in ((2**63, 2), (2, -(2**63) - 1), (10**30, 1)):
+        bad, line = _with_first_move(doc, f"S {a} {b} 1")
+        with pytest.raises(ParseError) as e:
+            d.load_certificate(bad)
+        assert e.value.line == line
+        assert str(e.value) == f"line {line}: move coordinates must fit in 64 bits"
+
+
+def test_valid_grids_are_not_walked_again_for_diagnostics(T, monkeypatch):
+    # GridMap validates a parsed grid; _check_grid only locates faults.
+    doc_map, doc_cert = d.dump_map(T), d.dump_certificate(d.doubling_trace(T, 4, 0))
+
+    def refuse(*args):
+        raise AssertionError("_check_grid ran on a valid grid")
+
+    monkeypatch.setattr(d.formats, "_check_grid", refuse)
+    assert d.load_map(doc_map).values == T.values
+    assert d.verify_certificate(d.load_certificate(doc_cert)[0]).ok

@@ -201,7 +201,7 @@ def test_doubling_trace_invariant_raises_on_corrupt_result(T, monkeypatch):
 
 def test_translate_trace_invariant_raises_when_the_walk_misfires(T, monkeypatch):
     f = d.paste(sea(12, 8), d.SubRect(0, 4, 0, 4), T)
-    monkeypatch.setattr(homotopy._TraceBuilder, "copy_column", lambda self, *a, **k: None)
+    monkeypatch.setattr(homotopy._TraceBuilder, "shift", lambda self, *a, **k: None)
     with pytest.raises(RuntimeError, match="translation walk"):
         d.translate_trace(f, d.SubRect(1, 3, 1, 3), (3, 0))
 
@@ -296,3 +296,101 @@ def test_verifier_rejects_wrong_endpoint(T):
     )
     res = d.verify_certificate(cert)
     assert not res.ok and "end" in res.reason
+
+
+# ---------------------------------------------------------------------------
+# Packed certificate moves.
+
+
+def test_empty_certificate_moves_equal_the_empty_tuple(T):
+    moves = d.identity_certificate(T).moves
+    assert moves == () and () == moves and moves == [] and len(moves) == 0
+    assert list(moves) == [] and moves[:] == ()
+
+
+def test_certificate_moves_read_like_a_tuple_of_spider_moves(T):
+    cert = d.doubling_trace(T, 4, 0)
+    moves = tuple(cert.moves)
+    assert len(moves) == len(cert.moves) > 3
+    assert all(isinstance(mv, d.SpiderMove) for mv in moves)
+    assert cert.moves == moves and moves == cert.moves and cert.moves == list(moves)
+    assert cert.moves != moves[:-1] and cert.moves != moves[1:] + moves[:1]
+    assert cert.moves[0] == moves[0] and cert.moves[-1] == moves[-1]
+    assert cert.moves[-3] == moves[-3]
+    assert cert.moves[1:4] == moves[1:4] and cert.moves[::-2] == moves[::-2]
+    assert [mv for mv in cert.moves] == list(moves)
+    assert hash(cert.moves) == hash(moves)
+    with pytest.raises(IndexError):
+        cert.moves[len(moves)]
+    with pytest.raises(ValueError):
+        cert.moves.a[0] = 7  # the packed arrays are read-only
+    # Certificate still takes any iterable of SpiderMoves.
+    rebuilt = d.Certificate(
+        codomain=cert.codomain,
+        basepoint=cert.basepoint,
+        common_rect=cert.common_rect,
+        start=cert.start,
+        moves=iter(moves),
+        end=cert.end,
+    )
+    assert rebuilt == cert and rebuilt.moves == moves
+
+
+def test_extended_and_then_carry_packed_moves(T):
+    first, second = d.doubling_trace(T, 4, 2), d.doubling_trace(T, 2, 0)
+    assert first.extended(8, 9).moves == first.moves
+    joined = first.then(second)
+    assert joined.moves == tuple(first.moves) + tuple(second.moves)
+    assert d.verify_certificate(joined).ok
+
+
+def test_certificate_rejects_moves_that_do_not_fit_int64(T):
+    with pytest.raises(ValueError, match="int64"):
+        d.Certificate(
+            codomain=d.S2,
+            basepoint=d.BASEPOINT,
+            common_rect=T.rect,
+            start=T,
+            moves=(d.SpiderMove((2**63, 1), 1),),
+            end=T,
+        )
+
+
+def _verify_moves(T, moves):
+    cert = d.Certificate(
+        codomain=d.S2,
+        basepoint=d.BASEPOINT,
+        common_rect=T.rect,
+        start=T,
+        moves=moves,
+        end=T,
+    )
+    res = d.verify_certificate(cert)
+    assert not res.ok
+    return res.reason, res.move_index
+
+
+def test_verifier_names_exterior_cells_and_foreign_labels(T):
+    ok = d.SpiderMove((1, 1), 1)
+    assert _verify_moves(T, (ok, d.SpiderMove((9, 2), 1))) == (
+        "move 1 targets boundary or exterior cell (9, 2)", 1)
+    assert _verify_moves(T, (d.SpiderMove((-1, 2), 1),)) == (
+        "move 0 targets boundary or exterior cell (-1, 2)", 0)
+    assert _verify_moves(T, (d.SpiderMove((2, 4), 1),)) == (
+        "move 0 targets boundary or exterior cell (2, 4)", 0)
+    assert _verify_moves(T, (ok, d.SpiderMove((2, 2), 6))) == (
+        "move 1 value 6 outside codomain", 1)
+    assert _verify_moves(T, (d.SpiderMove((2, 2), -1),)) == (
+        "move 0 value -1 outside codomain", 0)
+
+
+def test_verifier_reports_the_earliest_bad_move(T):
+    ok = d.SpiderMove((1, 1), 1)  # e3 -> e2 next to the corner
+    clash = d.SpiderMove((1, 1), 4)  # then -e2, the antipode of the current e2
+    outside = d.SpiderMove((9, 9), 1)
+    assert _verify_moves(T, (ok, clash, outside)) == (
+        "move 1 at (1, 1): new value not adjacent to current value", 1)
+    assert _verify_moves(T, (ok, outside, clash)) == (
+        "move 1 targets boundary or exterior cell (9, 9)", 1)
+    assert _verify_moves(T, (d.SpiderMove((1, 1), 4), d.SpiderMove((2, 2), 7))) == (
+        "move 0 at (1, 1): new value not adjacent to a neighbor", 0)

@@ -1,5 +1,7 @@
 """Normal form pipeline: island isolation, classification, reduction."""
 
+import hashlib
+
 import pytest
 
 import dpi2 as d
@@ -300,3 +302,13 @@ def test_cancel_certificate_random_maps():
         cert = d.cancel_certificate(f)
         assert d.verify_certificate(cert).ok
         assert cert.end.is_constant()
+
+
+def test_i20_anchor_certificate_text_is_unchanged():
+    # The ROADMAP I_20 anchor.  The digest was taken from the builders that
+    # walked one line per one-step window and stored a tuple of SpiderMoves;
+    # batched walks and packed moves must give the same .dcert, byte for byte.
+    c, cert = d.pi2_class(d.gen_random(5, 20, 20, 100, 2))
+    assert (c, len(cert.moves)) == (2, 71_058)
+    digest = hashlib.sha256(d.dump_certificate(cert).encode()).hexdigest()
+    assert digest == "b1f1dffada671d9face3d82f45dc3ea2f1d082a622ecace57683de2644483cd8"

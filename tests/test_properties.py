@@ -5,10 +5,12 @@ moves.  The maps drawn here are products, mirrors and subdivisions of such
 maps and of the reference stamps, each then walked by random valid moves.
 """
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import dpi2 as d
+from dpi2.homotopy import _TraceBuilder
 
 LABELS = range(len(d.S2.points))
 
@@ -67,3 +69,68 @@ def test_spider_moves_are_reversible(data):
     back = d.SpiderMove(mv.at, f.value_at(*mv.at))
     assert d.spider_valid(g, back)
     assert d.apply_spider(g, back).values == f.values
+
+
+def _stepwise_shift(builder, axis, lo, hi, step, span, times):
+    """The walks ``_TraceBuilder.shift`` batches, as one ``one_step`` per line."""
+    s0, s1 = span if span is not None else (0, builder.rect.n if axis == "a" else builder.rect.m)
+    for t in range(times):
+        for j in range(hi, lo - 1, -1) if step > 0 else range(lo, hi + 1):
+            j += t * step
+            src = j - step
+            if axis == "a":
+                window = d.SubRect(j, j, s0, s1)
+                block = builder.arr[s0 : s1 + 1, src : src + 1]
+            else:
+                window = d.SubRect(s0, s1, j, j)
+                block = builder.arr[src : src + 1, s0 : s1 + 1]
+            builder.one_step(window, block.copy())
+
+
+@st.composite
+def shifts(draw):
+    """A map with some sea around it, and a walk over it that may go wrong.
+
+    Walks touch the rectangle's edge, copy content into boundary lines, and
+    now and then reach one line past the rectangle.
+    """
+    f = draw(walked_maps())
+    f = d.trivial_extend(f, f.rect.m + draw(st.integers(0, 3)), f.rect.n + draw(st.integers(0, 3)))
+    axis = draw(st.sampled_from("ab"))
+    last_l, last_c = (f.rect.m, f.rect.n) if axis == "a" else (f.rect.n, f.rect.m)
+    lo = draw(st.integers(0, last_l))
+    hi = lo + draw(st.integers(0, min(6, last_l - lo)))
+    span = None
+    if draw(st.booleans()):
+        s0 = draw(st.integers(0, last_c))
+        span = (s0, draw(st.integers(s0, last_c)))
+    past = draw(st.sampled_from(["", "", "", "", "", "lo", "hi", "span"]))
+    if past == "lo":
+        lo = -1
+    elif past == "hi":
+        hi = last_l + 1
+    elif past == "span":
+        span = (span or (0, last_c))[0], last_c + 1
+    return f, (axis, lo, hi, draw(st.sampled_from([1, -1])), span, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(shifts())
+def test_batched_shift_matches_the_stepwise_walk(case):
+    f, walk = case
+    batched, stepwise = _TraceBuilder(f), _TraceBuilder(f)
+    try:
+        _stepwise_shift(stepwise, *walk)
+    except ValueError as exc:
+        kinds = ("not a one-step homotopy", "boundary cell")
+        event("raises: " + next((k for k in kinds if k in str(exc)), "bad walk or span"))
+        with pytest.raises(ValueError) as caught:
+            batched.shift(*walk)
+        if "leaves" not in str(caught.value):  # in range: the same first bad step
+            assert str(caught.value) == str(exc)
+        assert (batched.arr == f.array).all() and batched.certificate().moves == ()
+        return
+    batched.shift(*walk)
+    event(f"{'some' if stepwise.certificate().moves else 'no'} moves")
+    assert (batched.arr == stepwise.arr).all()
+    assert batched.certificate().moves == stepwise.certificate().moves
