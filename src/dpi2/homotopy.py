@@ -300,10 +300,10 @@ def one_step_check(f: GridMap, g: GridMap) -> bool:
     return bool(_one_step_ok(f.array, g.array, f.codomain.adjacency_matrix))
 
 
-def decompose_one_step(f: GridMap, g: GridMap) -> list[SpiderMove]:
+def decompose_one_step(f: GridMap, g: GridMap) -> PackedMoves:
     """Split a one-step homotopy into single spider moves, raster order.
 
-    Every prefix of the returned list keeps the map continuous: any
+    Every prefix of the returned moves keeps the map continuous: any
     intermediate cell holds either its f- or its g-label, and all four
     label combinations on an adjacent pair are adjacent by continuity of
     the endpoints plus the pairwise criterion.
@@ -311,13 +311,10 @@ def decompose_one_step(f: GridMap, g: GridMap) -> list[SpiderMove]:
     if not one_step_check(f, g):
         raise ValueError("maps are not one-step homotopic")
     bs, as_ = np.nonzero(f.array != g.array)
-    return [
-        SpiderMove((a, b), v)
-        for b, a, v in zip(bs.tolist(), as_.tolist(), g.array[bs, as_].tolist())
-    ]
+    return PackedMoves(as_, bs, g.array[bs, as_])
 
 
-def flood(f: GridMap, b: int) -> tuple[GridMap, list[SpiderMove]]:
+def flood(f: GridMap, b: int) -> tuple[GridMap, PackedMoves]:
     """Relabel to ``b`` every interior cell with no antipode-of-b in sight.
 
     A cell is flooded unless some cell adjacent to it (itself included)
@@ -401,7 +398,7 @@ class _TraceBuilder:
     def flood(self, label: int) -> None:
         """Flood the whole grid by ``label``, taking ``flood``'s checked moves."""
         g, moves = flood(self.current_map(), label)
-        self._chunks.append(PackedMoves.of(moves))
+        self._chunks.append(moves)
         self.arr = np.array(g.array)
 
     def shift(

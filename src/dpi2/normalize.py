@@ -109,29 +109,18 @@ def canonical_stack(c: int, rect: Rectangle) -> GridMap:
 # Stage 1: certified inflation to the k-fold subdivision.
 
 
-def _dup_column_walk(builder: _TraceBuilder, p: int) -> None:
-    """Duplicate column p once by shifting everything to its right outward."""
-    nonsea = np.nonzero((builder.arr != _SEA).any(axis=0))[0]
-    if nonsea.size == 0 or int(nonsea.max()) < p:
-        return
-    builder.shift("a", p + 1, int(nonsea.max()) + 1, 1)
-
-
-def _dup_row_walk(builder: _TraceBuilder, p: int) -> None:
-    nonsea = np.nonzero((builder.arr != _SEA).any(axis=1))[0]
-    if nonsea.size == 0 or int(nonsea.max()) < p:
-        return
-    builder.shift("b", p + 1, int(nonsea.max()) + 1, 1)
-
-
 def _emit_subdivision(builder: _TraceBuilder, f: GridMap, k: int) -> None:
-    """Walk the trivially extended f into its k-fold subdivision."""
-    for a0 in range(f.rect.m):
-        for _ in range(k - 1):
-            _dup_column_walk(builder, k * a0)
-    for b0 in range(f.rect.n):
-        for _ in range(k - 1):
-            _dup_row_walk(builder, k * b0)
+    """Walk the trivially extended f into its k-fold subdivision.
+
+    Each source line p is duplicated k - 1 times by one repeated walk that
+    shifts every line past it outward, up to the last non-sea line.
+    """
+    for axis, count in (("a", f.rect.m), ("b", f.rect.n)):
+        for p in range(0, k * count, k):
+            content = (builder.arr != _SEA).any(axis=0 if axis == "a" else 1)
+            last = int(np.nonzero(content)[0].max(initial=-1))
+            if last >= p:
+                builder.shift(axis, p + 1, last + 1, 1, times=k - 1)
     target = subdivide(f, k)
     if not (builder.arr == target.array).all():
         raise RuntimeError("subdivision walk did not reach the subdivided map")
@@ -202,24 +191,39 @@ def _emit_adjustments(builder: _TraceBuilder, f: GridMap, k: int) -> None:
 # Stage 3: floods, and the isolation entry point.
 
 
+def _island_spacing(arr: np.ndarray, sep: int):
+    """How the e1 cells of ``arr`` sit as islands, for the isolation checks.
+
+    Returns the e1 cells as (a, b) in raster order; the first pair of them,
+    taking pairs in raster order, closer than ``sep`` in the max metric (or
+    None); and the first non-sea cell outside every 3x3 block around them
+    (or None).
+    """
+    e = arr == _E1
+    bs, as_ = np.divmod(np.flatnonzero(e), arr.shape[1])
+    pts = np.stack((as_, bs), axis=1)
+    # e1 cells within sep - 1 of each e1 cell, from a summed-area table.
+    w = 2 * sep - 1
+    c = np.pad(e, ((sep, sep - 1), (sep, sep - 1))).cumsum(0, dtype=np.int32).cumsum(1)
+    crowded = c[bs + w, as_ + w] - c[bs, as_ + w] - c[bs + w, as_] + c[bs, as_] > 1
+    pair = None
+    if crowded.any():  # the first crowded cell's partners all come after it
+        i = int(crowded.argmax())
+        j = i + 1 + int((np.abs(pts[i + 1 :] - pts[i]).max(axis=1) < sep).argmax())
+        pair = (tuple(pts[i].tolist()), tuple(pts[j].tolist()))
+    ring = np.pad(e, 1)  # the 3x3 blocks around the e1 cells
+    ring = ring[:-2] | ring[1:-1] | ring[2:]
+    ring = ring[:, :-2] | ring[:, 1:-1] | ring[:, 2:]
+    stray = np.flatnonzero(~ring & (arr != _SEA))[:1].tolist()
+    return pts.tolist(), pair, divmod(stray[0], arr.shape[1])[::-1] if stray else None
+
+
 def _check_isolated(g: GridMap, k: int) -> None:
-    arr = g.array
-    pts = np.argwhere(arr == _E1)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            db = abs(int(pts[i][0]) - int(pts[j][0]))
-            da = abs(int(pts[i][1]) - int(pts[j][1]))
-            if max(da, db) <= k - 2:
-                raise RuntimeError(
-                    f"isolation failed: e1 cells {k - 2} or closer apart"
-                )
-    mask = np.zeros_like(arr, dtype=bool)
-    for b, a in pts:
-        mask[b - 1 : b + 2, a - 1 : a + 2] = True
-    stray = (~mask) & (arr != _SEA)
-    if stray.any():
-        b, a = np.argwhere(stray)[0]
-        raise RuntimeError(f"isolation failed: non-sea cell {(int(a), int(b))} off-island")
+    _, pair, stray = _island_spacing(g.array, k - 1)
+    if pair:
+        raise RuntimeError(f"isolation failed: e1 cells {k - 2} or closer apart")
+    if stray:
+        raise RuntimeError(f"isolation failed: non-sea cell {stray} off-island")
 
 
 def isolate_e1(f: GridMap, k: int) -> tuple[GridMap, Certificate]:
@@ -258,22 +262,11 @@ def find_islands(g: GridMap) -> list[Island]:
     if g.basepoint != _SEA:
         raise ValueError("island search expects the basepoint -e1")
     arr = g.array
-    pts = [(int(a), int(b)) for b, a in np.argwhere(arr == _E1)]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            da = abs(pts[i][0] - pts[j][0])
-            db = abs(pts[i][1] - pts[j][1])
-            if max(da, db) < 4:
-                raise ValueError(
-                    f"island centers {pts[i]} and {pts[j]} closer than 4 apart"
-                )
-    mask = np.zeros_like(arr, dtype=bool)
-    for a, b in pts:
-        mask[b - 1 : b + 2, a - 1 : a + 2] = True
-    stray = (~mask) & (arr != _SEA)
-    if stray.any():
-        b, a = np.argwhere(stray)[0]
-        raise ValueError(f"non-sea cell {(int(a), int(b))} outside every island")
+    pts, pair, stray = _island_spacing(arr, 4)
+    if pair:
+        raise ValueError(f"island centers {pair[0]} and {pair[1]} closer than 4 apart")
+    if stray:
+        raise ValueError(f"non-sea cell {stray} outside every island")
     islands = []
     for a, b in pts:
         ring = tuple(int(arr[b + db, a + da]) for da, db in _RING)

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 import dpi2 as d
+from dpi2.normalize import _check_isolated
 
 from conftest import grid, T_TEXT
 
@@ -147,6 +148,47 @@ def test_find_islands_rejects_stray_equator_cells():
     f = d.from_array(arr, d.S2, d.BASEPOINT)
     with pytest.raises(ValueError):
         d.find_islands(f)
+
+
+def _poles_in_e2(m, n, cells):
+    """Sea around an e2 block, with e1 at ``cells`` (given as (a, b))."""
+    arr = d.constant_map(d.Rectangle(m, n), d.S2, d.BASEPOINT).array.copy()
+    arr[1:-1, 1:-1] = 1
+    for a, b in cells:
+        arr[b, a] = 0
+    return d.from_array(arr, d.S2, d.BASEPOINT)
+
+
+# In raster order (2, 2) comes first, but its nearest pole is 4 away; the
+# first close pair is (9, 2) with (6, 5), 3 apart, and (13, 3) is 4 away
+# from (9, 2) but comes before (6, 5).
+SPACED_POLES = [(2, 2), (9, 2), (13, 3), (6, 5)]
+
+
+def test_find_islands_names_the_first_close_pair():
+    msg = r"^island centers \(9, 2\) and \(6, 5\) closer than 4 apart$"
+    with pytest.raises(ValueError, match=msg):
+        d.find_islands(_poles_in_e2(15, 8, SPACED_POLES))
+
+
+def test_find_islands_names_the_first_stray_cell():
+    arr = d.constant_map(d.Rectangle(5, 5), d.S2, d.BASEPOINT).array.copy()
+    arr[2, 3] = arr[3, 2] = 1
+    with pytest.raises(ValueError, match=r"^non-sea cell \(3, 2\) outside every island$"):
+        d.find_islands(d.from_array(arr, d.S2, d.BASEPOINT))
+
+
+def test_isolation_check_messages_and_spacing():
+    crowded = _poles_in_e2(15, 8, SPACED_POLES)
+    with pytest.raises(RuntimeError, match=r"^isolation failed: e1 cells 3 or closer apart$"):
+        _check_isolated(crowded, 5)
+    apart = _poles_in_e2(15, 8, SPACED_POLES[:1] + [(6, 5)])  # 4 apart
+    with pytest.raises(RuntimeError, match=r"^isolation failed: e1 cells 4 or closer apart$"):
+        _check_isolated(apart, 6)
+    msg = r"^isolation failed: non-sea cell \(4, 1\) off-island$"
+    with pytest.raises(RuntimeError, match=msg):
+        _check_isolated(apart, 5)
+    _check_isolated(d.isolate_e1(grid(T_TEXT), 6)[0], 6)
 
 
 def test_classify_island_plus_forms():

@@ -5,12 +5,14 @@ moves.  The maps drawn here are products, mirrors and subdivisions of such
 maps and of the reference stamps, each then walked by random valid moves.
 """
 
+import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import dpi2 as d
 from dpi2.homotopy import _TraceBuilder
+from dpi2.normalize import _emit_subdivision
 
 LABELS = range(len(d.S2.points))
 
@@ -134,3 +136,70 @@ def test_batched_shift_matches_the_stepwise_walk(case):
     event(f"{'some' if stepwise.certificate().moves else 'no'} moves")
     assert (batched.arr == stepwise.arr).all()
     assert batched.certificate().moves == stepwise.certificate().moves
+
+
+def _raster_moves(f, g):
+    """The cells where g differs from f, as moves to g's labels, in raster order."""
+    return [
+        d.SpiderMove((a, b), g.value_at(a, b))
+        for b in range(f.rect.n + 1)
+        for a in range(f.rect.m + 1)
+        if f.value_at(a, b) != g.value_at(a, b)
+    ]
+
+
+def _flood_moves(f, label):
+    """Flood by ``label`` cell by cell: every interior cell with no antipode in sight."""
+    anti = d.S2.point_index[tuple(-c for c in d.S2.points[label])]
+    return [
+        d.SpiderMove((a, b), label)
+        for b in range(1, f.rect.n)
+        for a in range(1, f.rect.m)
+        if f.value_at(a, b) != label
+        and all(f.value_at(a + da, b + db) != anti for da in (-1, 0, 1) for db in (-1, 0, 1))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(walked_maps(), st.sampled_from(LABELS))
+def test_packed_decomposition_matches_a_raster_reference(f, label):
+    g, moves = d.flood(f, label)
+    event(f"{'some' if moves else 'no'} moves")
+    assert moves == _flood_moves(f, label)
+    assert d.decompose_one_step(f, g) == moves
+    assert d.decompose_one_step(g, f) == _raster_moves(g, f)
+    cur = f
+    for mv in moves:  # every prefix is a continuous map
+        cur = d.apply_spider(cur, mv)
+    assert cur.values == g.values
+    for arr in (moves.a, moves.b, moves.label):
+        assert not arr.flags.writeable
+    with pytest.raises(AttributeError):
+        moves.append(d.SpiderMove((1, 1), label))
+
+
+def _stepwise_subdivision(builder, f, k):
+    """The subdivision walk as k - 1 separate one-line duplications per line."""
+    for axis, count in (("a", f.rect.m), ("b", f.rect.n)):
+        for p in range(0, k * count, k):
+            for _ in range(k - 1):
+                content = (builder.arr != d.BASEPOINT).any(axis=0 if axis == "a" else 1)
+                last = int(np.nonzero(content)[0].max(initial=-1))
+                if last >= p:
+                    event(f"last non-sea line {'is' if last == p else 'past'} the duplicated line")
+                    builder.shift(axis, p + 1, last + 1, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(walked_maps(), st.integers(0, 2), st.sampled_from([5, 6]))
+@example(d.degree_one_map(), 0, 5)
+def test_subdivision_walks_each_line_once_with_the_same_moves(f, pad, k):
+    # Every map with content duplicates its last non-sea line at least once,
+    # where the walk's run is that line alone; sea padding adds lines past it.
+    f = d.trivial_extend(f, f.rect.m + pad, f.rect.n + pad)
+    big = d.trivial_extend(f, k * (f.rect.m + 1) - 1, k * (f.rect.n + 1) - 1)
+    batched, stepwise = _TraceBuilder(big), _TraceBuilder(big)
+    _emit_subdivision(batched, f, k)
+    _stepwise_subdivision(stepwise, f, k)
+    assert batched.certificate() == stepwise.certificate()
+    assert (batched.arr == d.subdivide(f, k).array).all()
