@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success (including an honest "unknown" from the oracle),
-1 when input data fails to parse or a verification fails, 2 on usage errors.
+1 when input data fails to parse or a verification fails, 2 on usage errors,
+among them a memory-sizing flag over the budget below.
 All output is deterministic for fixed inputs and flags.
 """
 
@@ -25,6 +26,20 @@ from .homotopy import flood, verify_certificate
 from .normalize import pi2_class
 from .oracle import Equivalent, SearchBudget, homotopy_decide
 from .render import RenderSpec, render_map
+
+# The most grid cells one map or normalization frame may take, and the most
+# states the oracle may keep (each holds a whole padded grid).  A flag asking
+# for more exits 2 before anything it sizes is allocated.
+_BUDGET = 1 << 22
+
+
+class _OverBudget(Exception):
+    """A flag value whose memory would exceed _BUDGET: a usage error."""
+
+
+def _check_budget(flag: str, amount: int, what: str) -> None:
+    if amount > _BUDGET:
+        raise _OverBudget(f"{flag} asks for {amount} {what}, over the budget of {_BUDGET}")
 
 
 def _read(path: str) -> str:
@@ -61,6 +76,8 @@ def _cmd_degree(args) -> int:
 
 def _cmd_normalize(args) -> int:
     f = load_map(_read(args.map))
+    side = max(args.k, 0)
+    _check_budget("--k", side * f.rect.width * side * f.rect.height, "frame cells")
     c, cert = pi2_class(f, k=args.k)
     print(c)
     if args.cert:
@@ -91,6 +108,7 @@ def _parse_pad(text: str) -> tuple[int, int]:
 
 
 def _cmd_oracle(args) -> int:
+    _check_budget("--max-states", args.max_states, "states")
     f = load_map(_read(args.map_f))
     g = load_map(_read(args.map_g))
     budget = SearchBudget(
@@ -120,6 +138,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _check_budget("-m/-n", max(args.m + 1, 0) * max(args.n + 1, 0), "cells")
     g = gen_random(args.seed, args.m, args.n, moves=args.moves, plant=args.plant)
     _emit(dump_map(g), args.output)
     return 0
@@ -260,6 +279,9 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except _OverBudget as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

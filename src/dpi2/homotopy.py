@@ -73,9 +73,17 @@ class PackedMoves(Sequence):
         arrays = [p._abl for p in parts]
         if not arrays:
             return cls()
+        return cls._adopt(np.concatenate(arrays, axis=1))
+
+    @classmethod
+    def _adopt(cls, abl: np.ndarray) -> "PackedMoves":
+        """Wrap a (3, n) int64 array of a, b and label rows without a copy.
+
+        The array is made read-only; the caller keeps no writable view of it.
+        """
+        abl.setflags(write=False)
         out = cls.__new__(cls)
-        out._abl = np.concatenate(arrays, axis=1)
-        out._abl.setflags(write=False)
+        out._abl = abl
         return out
 
     @property

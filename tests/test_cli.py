@@ -213,3 +213,51 @@ def test_verify_rejects_a_move_coordinate_past_int64(capsys, tmp_path, tmap):
     code, out, err = run(capsys, ["verify", str(cert_path)])
     assert code == 1 and out == ""
     assert err == f"error: line {k + 1}: move coordinates must fit in 64 bits\n"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a flag over the budget reached the work it sizes")
+
+
+def test_memory_flags_over_the_budget_exit_2_before_any_work(capsys, tmap, monkeypatch):
+    for name in ("pi2_class", "gen_random", "homotopy_decide", "load_map"):
+        monkeypatch.setattr(cli, name, _refuse)
+    for argv, flag in (
+        (["gen", "-m", "100000", "-n", "100000"], "-m/-n"),
+        (["oracle", "--max-states", str(10**12), str(tmap), str(tmap)], "--max-states"),
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag} asks for ") and err.count("\n") == 1
+        assert err.endswith(f"over the budget of {cli._BUDGET}\n")
+
+
+def test_normalize_checks_the_frame_of_k_against_the_budget(capsys, tmap, monkeypatch):
+    # T has 5 x 5 points, so --k k asks for a frame of 25 k^2 cells.
+    fits = int((cli._BUDGET / 25) ** 0.5)
+    assert 25 * fits**2 <= cli._BUDGET < 25 * (fits + 1) ** 2
+    monkeypatch.setattr(cli, "pi2_class", _refuse)
+    code, out, err = run(capsys, ["normalize", "--k", str(fits + 1), str(tmap)])
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: --k asks for {25 * (fits + 1) ** 2} frame cells, "
+        f"over the budget of {cli._BUDGET}\n"
+    )
+    monkeypatch.setattr(cli, "pi2_class", lambda f, k: (1, d.identity_certificate(f)))
+    assert run(capsys, ["normalize", "--k", str(fits), str(tmap)]) == (0, "1\n", "")
+
+
+def test_gen_and_oracle_accept_values_at_the_budget(capsys, tmap, monkeypatch):
+    side = int(cli._BUDGET**0.5)
+    assert side * side == cli._BUDGET
+    monkeypatch.setattr(cli, "gen_random", lambda *a, **k: grid(T_TEXT))
+    code, out, _ = run(capsys, ["gen", "-m", str(side - 1), "-n", str(side - 1)])
+    assert code == 0 and out == d.dump_map(grid(T_TEXT))
+    assert run(capsys, ["gen", "-m", str(side), "-n", str(side - 1)])[0] == 2
+    monkeypatch.setattr(
+        cli, "homotopy_decide", lambda f, g, budget: d.Unknown(budget.max_states, "stub")
+    )
+    argv = ["oracle", "--max-states", str(cli._BUDGET), str(tmap), str(tmap)]
+    assert run(capsys, argv) == (0, f"unknown: stub ({cli._BUDGET} states)\n", "")
+    argv[2] = str(cli._BUDGET + 1)
+    assert run(capsys, argv)[0] == 2

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -184,6 +185,23 @@ def test_certificate_parse_errors(T):
         d.load_certificate(truncated)
 
 
+def test_end_grid_faults_name_their_source_line():
+    # The end grid is found past the canonical "end" line, and past one that
+    # only the per-line grammar reads as the end of the moves.
+    lines = GOLDEN_CERT.read_text().split("\n")
+    at_end = lines.index("end")
+    for spelled in ("end", "end "):
+        for row in range(at_end + 1, len(lines) - 1):
+            bad = lines.copy()
+            bad[at_end] = spelled
+            bad[row] = "q" + bad[row][1:]
+            with pytest.raises(ParseError) as ei:
+                d.load_certificate("\n".join(bad))
+            assert str(ei.value) == (
+                f"line {row + 1}, column 1: unknown label token 'q' for codomain S2"
+            )
+
+
 def test_token_helpers():
     assert d.token_of_index(3, d.S2) == "."
     assert d.token_of_index(4, d.S2) == "-2"
@@ -261,6 +279,31 @@ def test_certificate_load_is_linear_in_moves():
     assert large <= 2 * small, f"{large:.2f} us/move at 80k vs {small:.2f} at 5k"
 
 
+def _traced_peak(fn, *args) -> int:
+    """Bytes that ``fn(*args)`` holds at its peak, result included (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+def test_certificate_text_io_memory_is_bounded_by_the_document():
+    # The loaded moves and their line numbers take 32 bytes a move, about
+    # 3.5 times these 9-byte move lines; one block's temporaries come on top.
+    cert = _toggle_certificate(100_000)
+    doc = d.dump_certificate(cert)
+    assert len(cert.moves) == 200_000 and len(doc) < 10 * 200_000
+    load_peak = _traced_peak(d.load_certificate, doc)
+    assert load_peak < 6 * len(doc), f"load peaks at {load_peak / len(doc):.1f}x the text"
+    dump_peak = _traced_peak(d.dump_certificate, cert)
+    assert dump_peak < 3 * len(doc), f"dump peaks at {dump_peak / len(doc):.1f}x the text"
+
+
 def _with_first_move(doc: str, move: str) -> tuple[str, int]:
     """``doc`` with its first move line replaced, and that line's number."""
     lines = doc.split("\n")
@@ -281,6 +324,23 @@ def test_certificate_move_coordinates_must_fit_in_int64(T):
             d.load_certificate(bad)
         assert e.value.line == line
         assert str(e.value) == f"line {line}: move coordinates must fit in 64 bits"
+
+
+def test_sparse_and_extreme_move_coordinates_dump_and_load(T):
+    # Values spread far apart are formatted one per distinct value, not per
+    # value in their range.
+    moves = [((2**63 - 1, 1), 0), ((-(2**63), 7), 3), ((1, 10**12), 4), ((1, 1), 5)]
+    cert = dataclasses.replace(
+        d.identity_certificate(T), moves=tuple(d.SpiderMove(at, v) for at, v in moves)
+    )
+    doc = d.dump_certificate(cert)
+    lines = doc.split("\n")
+    k = lines.index("moves") + 1
+    assert lines[k : k + 5] == [
+        f"S {a} {b} {d.token_of_index(v, d.S2)}" for (a, b), v in moves
+    ] + ["end"]
+    cert2, move_lines = d.load_certificate(doc)
+    assert cert2.moves == cert.moves and move_lines.tolist() == [k + 1, k + 2, k + 3, k + 4]
 
 
 def test_valid_grids_are_not_walked_again_for_diagnostics(T, monkeypatch):

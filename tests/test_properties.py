@@ -5,12 +5,16 @@ moves.  The maps drawn here are products, mirrors and subdivisions of such
 maps and of the reference stamps, each then walked by random valid moves.
 """
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import dpi2 as d
+from dpi2.formats import _scan_moves
 from dpi2.homotopy import _TraceBuilder
 from dpi2.normalize import _emit_subdivision
 
@@ -203,3 +207,109 @@ def test_subdivision_walks_each_line_once_with_the_same_moves(f, pad, k):
     _stepwise_subdivision(stepwise, f, k)
     assert batched.certificate() == stepwise.certificate()
     assert (batched.arr == d.subdivide(f, k).array).all()
+
+
+@st.composite
+def certificate_documents(draw):
+    """A .dcert text of two floods from a walked map, its move lines maybe mutated.
+
+    Each mutation touches one line: mostly a move line, else the ``moves``
+    line, the ``end`` line or a grid row.
+    """
+    f = draw(walked_maps())
+    g, first = d.flood(f, draw(st.sampled_from(LABELS)))
+    h, second = d.flood(g, draw(st.sampled_from(LABELS)))
+    cert = dataclasses.replace(d.identity_certificate(f), moves=(*first, *second), end=h)
+    lines = d.dump_certificate(cert).split("\n")
+    top, bottom = lines.index("moves"), lines.index("end")
+    kind = draw(st.sampled_from(sorted(_MUTATIONS)))
+    if draw(st.integers(0, 3)) or kind == "none":
+        at = draw(st.integers(top + 1, max(top + 1, bottom - 1)))
+    else:
+        at = draw(st.sampled_from([1, top, bottom, bottom + 1, len(lines) - 2]))
+    event(f"mutation: {kind}")
+    lines[at : at + 1] = _MUTATIONS[kind](lines[at], draw)
+    return "\n".join(lines), kind
+
+
+def _coordinate(value):
+    def mutate(line, draw):
+        parts = line.split(" ")
+        if len(parts) != 4:
+            return [value]
+        parts[draw(st.sampled_from([1, 2]))] = value
+        return [" ".join(parts)]
+
+    return mutate
+
+
+def _token(line, draw):
+    token = draw(st.sampled_from(["1", ".", "-3", "4", "x", "01"]))
+    return [line.rpartition(" ")[0] + " " + token]
+
+
+def _alias(line, draw):
+    head, _, token = line.rpartition(" ")
+    return [head + " -1" if token == "." else line.replace(".", "-1")]
+
+
+_MUTATIONS = {
+    "none": lambda line, draw: [line],
+    "token": _token,
+    "alias -1": _alias,
+    "double space": lambda line, draw: [line.replace(" ", "  ", 1)],
+    "leading space": lambda line, draw: [" " + line],
+    "tab": lambda line, draw: [line.replace(" ", "\t", 1)],
+    "carriage return": lambda line, draw: [line + "\r"],
+    "blank line": lambda line, draw: ["", line],
+    "lower-case s": lambda line, draw: [line.replace("S", "s", 1)],
+    "negative": _coordinate("-3"),
+    "plus sign": _coordinate("+5"),
+    "arabic digit": _coordinate("٣"),
+    "19 digits": _coordinate("1234567890123456789"),
+    "past int64": _coordinate(str(2**63)),
+    "int64 min": _coordinate(str(-(2**63))),
+    "leading zeros": _coordinate("007"),
+    "early end": lambda line, draw: ["end", line],
+    "indented end": lambda line, draw: [" end"],
+}
+
+
+def _load_outcome(doc):
+    try:
+        cert, lines = d.load_certificate(doc)
+    except d.ParseError as exc:
+        return "error", str(exc), exc.line, exc.col
+    return (
+        "ok",
+        [mv.tolist() for mv in (cert.moves.a, cert.moves.b, cert.moves.label)],
+        lines.tolist(),
+        cert.start.values,
+        cert.end.values,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_documents(), st.sampled_from([16, 64, 1 << 17]))
+def test_block_parsed_moves_match_the_per_line_grammar(case, block_chars):
+    # Small blocks split the moves section at many places; a refused block
+    # falls back to the per-line loop, which is the reference here.
+    doc, kind = case
+    accepted = []
+
+    def spy(*args):
+        result = _scan_moves(*args)
+        accepted.append(result is not None)
+        return result
+
+    with mock.patch.object(d.formats, "_LOAD_BLOCK", block_chars):
+        with mock.patch.object(d.formats, "_scan_moves", spy):
+            got = _load_outcome(doc)
+        with mock.patch.object(d.formats, "_scan_moves", lambda *args: None):
+            want = _load_outcome(doc)
+    assert got == want
+    if kind == "none":
+        assert got[0] == "ok" and all(accepted)
+        cert, lines = d.load_certificate(doc)
+        assert lines.dtype == np.int64 and not lines.flags.writeable
+        assert d.dump_certificate(cert) == doc
