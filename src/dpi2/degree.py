@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import S2, S2Label
+from .sphere import S2
 
 # _LOOKUP[i, j, k] is the contribution of a CCW triangle labeled (i, j, k).
 # Only triangles whose label set is exactly {e1, e2, e3} count; the sign is
@@ -109,14 +109,3 @@ def degree_minus_one_map():
     from .gridmap import inverse
 
     return inverse(degree_one_map())
-
-
-__all__ = [
-    "OrientedTriangle",
-    "triangulate",
-    "triangle_count",
-    "oriented_triangles",
-    "degree_one_map",
-    "degree_minus_one_map",
-    "S2Label",
-]

@@ -23,8 +23,7 @@ from .grid import (
     Explicit,
     LatticeCq,
     Rectangle,
-    first_discontinuity,
-    values_continuous,
+    grid_fault,
 )
 from .gridmap import GridMap, from_array
 from .homotopy import Certificate, PackedMoves
@@ -275,36 +274,28 @@ def _check_grid(
     table: TokenTable,
     rows: list[tuple[int, str]],
 ) -> None:
-    """Boundary and continuity checks with source locations."""
-    n = arr.shape[0] - 1
+    """Raise the grid's first boundary or continuity fault at its source."""
+    fault = grid_fault(arr, basepoint, table.codomain.adjacency_matrix)
+    if fault is None:
+        return
     tokens = table.tokens
-
-    def loc(a: int, b: int) -> tuple[int, int]:
-        lno, line = rows[n - b]
-        return lno, _tokens_with_cols(line)[a][1]
-
-    off = arr != basepoint
-    off[1:-1, 1:-1] = False  # only boundary cells must carry the basepoint
-    if off.any():
-        # argmax on the flat mask finds the first hit in b-then-a order.
-        b, a = divmod(int(off.argmax()), arr.shape[1])
-        lno, col = loc(a, b)
+    a, b = fault[0]
+    lno, line = rows[arr.shape[0] - 1 - b]
+    col = _tokens_with_cols(line)[a][1]
+    if len(fault) == 1:
         raise ParseError(
             f"boundary cell ({a},{b}) is {tokens[arr[b, a]]!r}, expected "
             f"basepoint {tokens[basepoint]!r}",
             lno,
             col,
         )
-    amat = table.codomain.adjacency_matrix
-    if not values_continuous(arr, amat):
-        (a1, b1), (a2, b2) = first_discontinuity(arr, amat)
-        lno, col = loc(a1, b1)
-        raise ParseError(
-            f"cells ({a1},{b1}) and ({a2},{b2}) carry non-adjacent labels "
-            f"{tokens[arr[b1, a1]]!r} and {tokens[arr[b2, a2]]!r}",
-            lno,
-            col,
-        )
+    a2, b2 = fault[1]
+    raise ParseError(
+        f"cells ({a},{b}) and ({a2},{b2}) carry non-adjacent labels "
+        f"{tokens[arr[b, a]]!r} and {tokens[arr[b2, a2]]!r}",
+        lno,
+        col,
+    )
 
 
 def _grid_map(

@@ -8,20 +8,17 @@ symmetric adjacency relation.  Two adjacency flavors are supported:
 * ``Explicit``: an explicit edge set; it is reflexive- and symmetric-closed
   at construction time.
 
-Rectangles ``I_{m,n} = {0..m} x {0..n}`` always carry the 8-adjacency
-(`rect_adjacent`), which is the categorical product of the 1-D adjacencies.
+Rectangles ``I_{m,n} = {0..m} x {0..n}`` always carry the 8-adjacency,
+which is the categorical product of the 1-D adjacencies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, TYPE_CHECKING
+from typing import Iterable
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .gridmap import GridMap
 
 Point = tuple[int, ...]
 
@@ -70,9 +67,6 @@ class DigitalImage:
     name: str
     points: tuple[Point, ...]
     adjacency: AdjacencyKind
-    factors: tuple["DigitalImage", "DigitalImage"] | None = field(
-        default=None, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not self.points:
@@ -156,11 +150,6 @@ def adjacent(img: DigitalImage, p: Point, q: Point) -> bool:
     return bool(img.adjacency_matrix[idx[p], idx[q]])
 
 
-def rect_adjacent(p: tuple[int, int], q: tuple[int, int]) -> bool:
-    """8-adjacency on 2-D rectangle points: both deltas at most 1."""
-    return abs(p[0] - q[0]) <= 1 and abs(p[1] - q[1]) <= 1
-
-
 @dataclass(frozen=True)
 class Rectangle:
     """The domain rectangle I_{m,n} = {0..m} x {0..n}."""
@@ -199,14 +188,6 @@ def boundary(rect: Rectangle) -> set[tuple[int, int]]:
         pts.add((a, 0))
         pts.add((a, rect.n))
     return pts
-
-
-def interior_mask(rect: Rectangle) -> np.ndarray:
-    """Boolean (n+1, m+1) array marking non-boundary cells."""
-    mask = np.zeros((rect.n + 1, rect.m + 1), dtype=bool)
-    if rect.m >= 2 and rect.n >= 2:
-        mask[1:-1, 1:-1] = True
-    return mask
 
 
 # --- continuity checking -------------------------------------------------
@@ -251,30 +232,21 @@ def first_discontinuity(
     return None
 
 
-def is_continuous(f: "GridMap") -> bool:
-    """True iff rect-adjacent domain points always map to adjacent values."""
-    return values_continuous(f.array, f.codomain.adjacency_matrix)
+def grid_fault(
+    arr: np.ndarray, basepoint: int, adjacency_matrix: np.ndarray
+) -> tuple[tuple[int, int], ...] | None:
+    """The first fault of a based, continuous value grid, or None.
 
-
-def product_image(x: DigitalImage, y: DigitalImage) -> DigitalImage:
-    """Categorical product: pairs of points, coordinate-wise adjacency.
-
-    Point (p, q) is stored as the concatenated tuple p + q, indexed as
-    ``i_x * len(y) + i_y``.  The result remembers its factors so that
-    product maps can be split back.
+    ``((a, b),)`` names the first boundary cell, in raster order, that does
+    not carry the basepoint; failing that, the pair of cells that
+    ``first_discontinuity`` names.
     """
-    pts = tuple(p + q for p in x.points for q in y.points)
-    ax = x.adjacency_matrix
-    ay = y.adjacency_matrix
-    prod = np.kron(ax, ay)
-    edges = set()
-    ii, jj = np.nonzero(prod)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        if i <= j:
-            edges.add((i, j))
-    return DigitalImage(
-        name=f"{x.name}*{y.name}",
-        points=pts,
-        adjacency=Explicit(frozenset(edges)),
-        factors=(x, y),
-    )
+    off = arr != basepoint
+    off[1:-1, 1:-1] = False  # only boundary cells must carry the basepoint
+    if off.any():
+        # argmax on the flat mask finds the first hit in b-then-a order.
+        b, a = divmod(int(off.argmax()), arr.shape[1])
+        return ((a, b),)
+    if values_continuous(arr, adjacency_matrix):
+        return None
+    return first_discontinuity(arr, adjacency_matrix)

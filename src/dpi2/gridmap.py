@@ -20,12 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import (
-    DigitalImage,
-    Rectangle,
-    first_discontinuity,
-    values_continuous,
-)
+from .grid import DigitalImage, Rectangle, grid_fault
 
 
 @dataclass(frozen=True)
@@ -59,19 +54,12 @@ class GridMap:
         arr = self.array
         if arr.size and arr.max() >= npts:
             raise ValueError("value grid references a point outside the codomain")
-        # Boundary pinned to the basepoint.
-        bp = self.basepoint
-        if (
-            (arr[0, :] != bp).any()
-            or (arr[-1, :] != bp).any()
-            or (arr[:, 0] != bp).any()
-            or (arr[:, -1] != bp).any()
-        ):
+        fault = grid_fault(arr, self.basepoint, self.codomain.adjacency_matrix)
+        if fault is not None and len(fault) == 1:
             raise ValueError("boundary values must all equal the basepoint")
-        if not values_continuous(arr, self.codomain.adjacency_matrix):
-            pair = first_discontinuity(arr, self.codomain.adjacency_matrix)
+        if fault is not None:
             raise ValueError(
-                f"map is not continuous: cells {pair[0]} and {pair[1]} carry "
+                f"map is not continuous: cells {fault[0]} and {fault[1]} carry "
                 "non-adjacent values"
             )
 
@@ -86,10 +74,6 @@ class GridMap:
 
     def value_at(self, a: int, b: int) -> int:
         return self.values[b * self.rect.width + a]
-
-    @property
-    def basepoint_point(self):
-        return self.codomain.points[self.basepoint]
 
     def is_constant(self) -> bool:
         return not (self.array != self.basepoint).any()
@@ -291,40 +275,3 @@ def map_compose(
         raise ValueError("phi does not preserve the basepoint")
     out = table[f.array].astype(np.uint8)
     return from_array(out, target, bp2)
-
-
-def product_split(alpha: GridMap) -> tuple[GridMap, GridMap]:
-    """Split a map into a product image into its two coordinate maps."""
-    if alpha.codomain.factors is None:
-        raise ValueError(
-            f"codomain {alpha.codomain.name!r} is not a two-factor product"
-        )
-    ximg, yimg = alpha.codomain.factors
-    ny = len(yimg.points)
-    arr = alpha.array.astype(np.int64)
-    fx = from_array((arr // ny).astype(np.uint8), ximg, alpha.basepoint // ny)
-    fy = from_array((arr % ny).astype(np.uint8), yimg, alpha.basepoint % ny)
-    return fx, fy
-
-
-def product_combine(f: GridMap, g: GridMap) -> GridMap:
-    """Combine maps into X and Y into one map into the product image X*Y.
-
-    Built as the concatenation product of (f, const y0) and (const x0, g),
-    so the first projection recovers f's class and the second recovers g's.
-    """
-    from .grid import product_image
-
-    prod = product_image(f.codomain, g.codomain)
-    ny = len(g.codomain.points)
-    a = from_array(
-        (f.array.astype(np.int64) * ny + g.basepoint).astype(np.uint8),
-        prod,
-        f.basepoint * ny + g.basepoint,
-    )
-    b = from_array(
-        (f.basepoint * ny + g.array.astype(np.int64)).astype(np.uint8),
-        prod,
-        f.basepoint * ny + g.basepoint,
-    )
-    return product(a, b)

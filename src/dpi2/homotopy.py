@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .grid import Rectangle, DigitalImage, values_continuous
+from .grid import Rectangle, DigitalImage, grid_fault
 from .gridmap import GridMap, SubRect, apply_alpha, from_array, trivial_extend
 
 # The eight neighbor offsets of a cell, as (da, db).
@@ -204,17 +204,6 @@ class Certificate:
             moves=PackedMoves.join([a.moves, b.moves]),
             end=b.end,
         )
-
-
-def chain_certificates(certs) -> Certificate:
-    """Fold a nonempty sequence of meeting certificates into one."""
-    certs = list(certs)
-    if not certs:
-        raise ValueError("cannot chain zero certificates")
-    acc = certs[0]
-    for c in certs[1:]:
-        acc = acc.then(c)
-    return acc
 
 
 def identity_certificate(f: GridMap) -> Certificate:
@@ -643,16 +632,10 @@ def verify_certificate(c: Certificate) -> VerifyResult:
             return VerifyResult(False, f"{name} map not on common rectangle")
         if g.codomain != c.codomain or g.basepoint != c.basepoint:
             return VerifyResult(False, f"{name} map codomain/basepoint mismatch")
-        arr = g.array
-        bad = (
-            (arr[0, :] != c.basepoint).any()
-            or (arr[-1, :] != c.basepoint).any()
-            or (arr[:, 0] != c.basepoint).any()
-            or (arr[:, -1] != c.basepoint).any()
-        )
-        if bad:
+        fault = grid_fault(g.array, c.basepoint, amat)
+        if fault is not None and len(fault) == 1:
             return VerifyResult(False, f"{name} map boundary not pinned")
-        if not values_continuous(arr, amat):
+        if fault is not None:
             return VerifyResult(False, f"{name} map not continuous")
 
     # The range checks run on the arrays up front; replay stops at the first

@@ -73,23 +73,6 @@ class Island:
                 raise ValueError("ring labels across a corner are not adjacent")
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """Diagonal-stack normal form: stamp counts plus the witnessing trace."""
-
-    plus_count: int
-    minus_count: int
-    certificates: tuple[Certificate, ...]
-
-    def __post_init__(self) -> None:
-        if self.plus_count < 0 or self.minus_count < 0:
-            raise ValueError("stamp counts cannot be negative")
-
-    @property
-    def value(self) -> int:
-        return self.plus_count - self.minus_count
-
-
 def canonical_stack(c: int, rect: Rectangle) -> GridMap:
     """|c| copies of the degree +-1 stamp along the diagonal, in sea.
 
@@ -565,11 +548,3 @@ def pi2_class(f: GridMap, k: int = 5) -> tuple[int, Certificate]:
         raise RuntimeError("normalization did not reach the canonical stack")
     cert = cert1.extended(wfin, hfin).then(builder.certificate())
     return d_in, cert
-
-
-def normal_form(f: GridMap, k: int = 5) -> NormalForm:
-    """Classify and package the result as a NormalForm."""
-    c, cert = pi2_class(f, k)
-    return NormalForm(
-        plus_count=max(c, 0), minus_count=max(-c, 0), certificates=(cert,)
-    )

@@ -8,7 +8,7 @@ are not antipodal; all degree and normalization machinery works over it.
 Labels for the 2-sphere are small integers 0..5 in the fixed order
 ``e1, e2, e3, -e1, -e2, -e3`` so that the antipode is ``(i + 3) % 6``.
 File tokens are ``1 2 3 -1 -2 -3`` with ``.`` as an alias for ``-1``
-(the conventional basepoint).
+(the conventional basepoint); ``formats.TokenTable`` maps them.
 """
 
 from __future__ import annotations
@@ -28,44 +28,10 @@ class S2Label(IntEnum):
     NEG_E2 = 4
     NEG_E3 = 5
 
-    @property
-    def axis(self) -> int:
-        """Coordinate axis, one of 1, 2, 3."""
-        return (self % 3) + 1
-
-    @property
-    def sign(self) -> int:
-        return 1 if self < 3 else -1
-
-    @classmethod
-    def from_axis_sign(cls, axis: int, sign: int) -> "S2Label":
-        if axis not in (1, 2, 3) or sign not in (1, -1):
-            raise ValueError(f"bad label descriptor axis={axis} sign={sign}")
-        return cls((axis - 1) + (0 if sign == 1 else 3))
-
 
 def antipode(label: S2Label | int) -> S2Label:
     """The opposite point -l; an involution without fixed points."""
     return S2Label((int(label) + 3) % 6)
-
-
-#: Canonical file tokens, indexed by label value.
-LABEL_TOKENS: tuple[str, ...] = ("1", "2", "3", "-1", "-2", "-3")
-
-_TOKEN_TO_LABEL = {tok: S2Label(i) for i, tok in enumerate(LABEL_TOKENS)}
-_TOKEN_TO_LABEL["."] = S2Label.NEG_E1
-
-
-def label_token(label: int) -> str:
-    return LABEL_TOKENS[int(label)]
-
-
-def token_label(token: str) -> S2Label:
-    """Parse a sphere token; ``.`` means the basepoint -e1."""
-    try:
-        return _TOKEN_TO_LABEL[token]
-    except KeyError:
-        raise ValueError(f"unknown sphere label token {token!r}") from None
 
 
 def make_sphere(n: int) -> DigitalImage:

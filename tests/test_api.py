@@ -1,0 +1,33 @@
+import dpi2 as d
+
+# Public names that were removed because nothing in the package, the CLI or
+# a guarantee used them; none may come back by accident.
+REMOVED = (
+    "product_image",
+    "product_split",
+    "product_combine",
+    "LABEL_TOKENS",
+    "label_token",
+    "token_label",
+    "NormalForm",
+    "normal_form",
+    "rect_adjacent",
+    "interior_mask",
+    "is_continuous",
+    "chain_certificates",
+)
+
+
+def test_every_export_resolves_once():
+    assert len(set(d.__all__)) == len(d.__all__)
+    for name in d.__all__:
+        assert hasattr(d, name), name
+
+
+def test_removed_names_stay_removed():
+    assert [name for name in REMOVED if hasattr(d, name)] == []
+    for attr in ("axis", "sign", "from_axis_sign"):
+        assert not hasattr(d.S2Label.E1, attr)
+    assert not hasattr(d.GridMap, "basepoint_point")
+    assert "factors" not in d.DigitalImage.__dataclass_fields__
+    assert not hasattr(d.degree, "__all__")  # the package's list is the only one

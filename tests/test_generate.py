@@ -21,7 +21,7 @@ def test_planted_degree_survives_noise():
         size = max(5 * abs(plant) - 1, 5)
         f = d.gen_random(seed, size, size + 1, moves=60, plant=plant)
         assert d.triangle_count(f) == plant
-        assert d.is_continuous(f)
+        assert d.values_continuous(f.array, f.codomain.adjacency_matrix)
 
 
 def test_determinism_is_byte_exact():

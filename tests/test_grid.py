@@ -3,7 +3,7 @@ import pytest
 
 import dpi2 as d
 
-from conftest import brute_force_continuous, grid, T_TEXT
+from conftest import brute_force_continuous
 
 
 def _z2(q):
@@ -31,12 +31,6 @@ def test_sphere_antipodes_not_adjacent():
     assert d.adjacent(d.S2, e1, d.S2.points[1])
 
 
-def test_rect_adjacent():
-    assert d.rect_adjacent((2, 2), (3, 1))
-    assert not d.rect_adjacent((0, 0), (2, 0))
-    assert d.rect_adjacent((1, 1), (1, 1))
-
-
 def test_rectangle_points_and_interior():
     r = d.Rectangle(4, 4)
     assert r.width == 5 and r.height == 5
@@ -56,13 +50,6 @@ def test_interior_of_2x2():
     r = d.Rectangle(2, 2)
     inside = {p for p in r.points() if p not in d.boundary(r)}
     assert inside == {(1, 1)}
-    mask = d.interior_mask(r)
-    assert mask.shape == (3, 3) and mask[1, 1] and mask.sum() == 1
-
-
-def test_is_continuous_on_reference_maps():
-    assert d.is_continuous(grid(T_TEXT))
-    assert d.is_continuous(d.constant_map(d.Rectangle(3, 3), d.S2, d.BASEPOINT))
 
 
 def test_antipodal_neighbors_are_discontinuous():
@@ -88,15 +75,6 @@ def test_continuity_matches_brute_force():
         assert fast is slow
         hits += fast
     assert 0 < hits < 60  # the sample hit both outcomes
-
-
-def test_product_image_categorical_adjacency():
-    prod = d.product_image(d.S2, d.S2)
-    assert len(prod.points) == 36
-    assert prod.factors == (d.S2, d.S2)
-    e1, e2, ne1 = d.S2.points[0], d.S2.points[1], d.S2.points[3]
-    assert d.adjacent(prod, e1 + e1, e2 + e2)
-    assert not d.adjacent(prod, e1 + e1, ne1 + e2)  # first factor antipodal
 
 
 def test_explicit_requires_symmetric_edges():

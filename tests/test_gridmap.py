@@ -3,8 +3,6 @@ import pytest
 
 import dpi2 as d
 
-from conftest import grid
-
 
 def const(m, n):
     return d.constant_map(d.Rectangle(m, n), d.S2, d.BASEPOINT)
@@ -13,7 +11,7 @@ def const(m, n):
 def test_single_cell_constant():
     f = const(0, 0)
     assert f.values == bytes([d.BASEPOINT])
-    assert d.is_continuous(f)
+    assert d.values_continuous(f.array, f.codomain.adjacency_matrix)
     assert d.triangle_count(f) == 0
 
 
@@ -30,6 +28,28 @@ def test_rejects_discontinuous_values():
     arr[2, 2] = 4  # -e2 diagonally against e2
     with pytest.raises(ValueError):
         d.from_array(arr, d.S2, d.BASEPOINT)
+
+
+def test_rejection_messages_name_the_fault():
+    arr = np.full((4, 5), 3, dtype=np.uint8)
+    arr[3, 2] = 1  # a top-row boundary cell off the basepoint
+    arr[1, 1], arr[1, 2] = 1, 4  # and an antipodal pair inside
+    with pytest.raises(ValueError) as ei:
+        d.from_array(arr, d.S2, d.BASEPOINT)
+    assert str(ei.value) == "boundary values must all equal the basepoint"
+    arr[3, 2] = 3
+    with pytest.raises(ValueError) as ei:
+        d.from_array(arr, d.S2, d.BASEPOINT)
+    assert str(ei.value) == (
+        "map is not continuous: cells (1, 1) and (2, 1) carry non-adjacent values"
+    )
+    arr[1, 1], arr[1, 2] = 3, 3
+    arr[1, 3], arr[2, 2] = 1, 4  # the pair on a falling diagonal
+    with pytest.raises(ValueError) as ei:
+        d.from_array(arr, d.S2, d.BASEPOINT)
+    assert str(ei.value) == (
+        "map is not continuous: cells (3, 1) and (2, 2) carry non-adjacent values"
+    )
 
 
 def test_array_view_layout(T):
@@ -66,7 +86,7 @@ def test_apply_alpha_duplicates_column(T):
         assert (ga[:, i + 1] == ta[:, i]).all()
         assert (ga[:, : i + 1] == ta[:, : i + 1]).all()
         assert (ga[:, i + 2 :] == ta[:, i + 1 :]).all()
-        assert d.is_continuous(g)
+        assert d.values_continuous(g.array, g.codomain.adjacency_matrix)
 
 
 def test_apply_alpha_on_constant():
@@ -152,7 +172,7 @@ def test_border_wrap_shapes_and_values(T):
     ga = g.array
     assert (ga[1:-1, 1:-1] == 3).all()  # the old constant fills the inside
     assert (ga[0, :] == 1).all() and (ga[:, -1] == 1).all()
-    assert d.is_continuous(g)
+    assert d.values_continuous(g.array, g.codomain.adjacency_matrix)
     assert d.border_wrap(T, 1).rect == d.Rectangle(6, 6)
 
 
@@ -165,7 +185,7 @@ def test_border_wrap_random_property():
     for seed in range(8):
         f = d.gen_random(seed, 5, 4, moves=10)
         g = d.border_wrap(f, 2)
-        assert d.is_continuous(g)
+        assert d.values_continuous(g.array, g.codomain.adjacency_matrix)
         assert d.triangle_count(g) == d.triangle_count(f)
 
 
@@ -187,41 +207,6 @@ def test_map_compose_rejects_discontinuous_table(T):
     phi = [0, 3, 2, 3, 4, 5]
     with pytest.raises(ValueError):
         d.map_compose(phi, T)
-
-
-def test_product_split_combine_roundtrip(T):
-    g = grid(
-        """
-        .  .  .  .
-        .  2  3  .
-        .  2  3  .
-        .  .  .  .
-        """
-    )
-    alpha = d.product_combine(T, g)
-    assert alpha.codomain.factors == (d.S2, d.S2)
-    f2, g2 = d.product_split(alpha)
-    assert f2.codomain == d.S2 and g2.codomain == d.S2
-    assert d.triangle_count(f2) == d.triangle_count(T)
-    assert d.triangle_count(g2) == d.triangle_count(g)
-
-
-def test_product_split_of_constant():
-    prod = d.product_image(d.S2, d.S2)
-    bp = 3 * 6 + 3  # (-e1, -e1)
-    alpha = d.constant_map(d.Rectangle(3, 3), prod, bp)
-    f, g = d.product_split(alpha)
-    assert f.is_constant() and g.is_constant()
-
-
-def test_product_combine_of_constants():
-    alpha = d.product_combine(const(0, 0), const(0, 0))
-    assert alpha.is_constant()
-
-
-def test_product_split_requires_product_codomain(T):
-    with pytest.raises(ValueError):
-        d.product_split(T)
 
 
 def test_subrect_helpers():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -222,7 +224,7 @@ def test_translate_trace_swaps_two_blocks(T, T_inv):
         cert = d.translate_trace(cur, r, delta)
         parts.append(cert)
         cur = cert.end
-    whole = d.chain_certificates(parts)
+    whole = functools.reduce(d.Certificate.then, parts)
     assert d.verify_certificate(whole).ok
     swapped = d.paste(base, d.SubRect(0, 4, 0, 4), T_inv)
     swapped = d.paste(swapped, d.SubRect(4, 8, 0, 4), T)
@@ -394,3 +396,35 @@ def test_verifier_reports_the_earliest_bad_move(T):
         "move 1 targets boundary or exterior cell (9, 9)", 1)
     assert _verify_moves(T, (d.SpiderMove((1, 1), 4), d.SpiderMove((2, 2), 7))) == (
         "move 0 at (1, 1): new value not adjacent to a neighbor", 0)
+
+
+def _unchecked(f, arr):
+    """A fresh GridMap of f's shape holding arr, which GridMap never checked."""
+    g = object.__new__(d.GridMap)
+    for field in ("rect", "codomain", "basepoint"):
+        object.__setattr__(g, field, getattr(f, field))
+    object.__setattr__(g, "values", np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
+    return g
+
+
+@pytest.mark.parametrize("end", ["start", "end"])
+def test_verifier_rechecks_both_endpoint_grids(T, end):
+    def reason(bad):
+        cert = d.identity_certificate(T)
+        object.__setattr__(cert, end, bad)
+        res = d.verify_certificate(cert)
+        assert not res.ok and res.move_index is None
+        return res.reason
+
+    unpinned = np.array(T.array)
+    unpinned[4, 2] = 1
+    assert reason(_unchecked(T, unpinned)) == f"{end} map boundary not pinned"
+    torn = np.array(T.array)
+    torn[1, 2] = 5  # -e3 beside the e3 at (1, 1)
+    assert reason(_unchecked(T, torn)) == f"{end} map not continuous"
+    torn[0, 0] = 0  # a boundary fault is named before a continuity fault
+    assert reason(_unchecked(T, torn)) == f"{end} map boundary not pinned"
+    assert reason(d.trivial_extend(T, 5, 4)) == f"{end} map not on common rectangle"
+    rebased = _unchecked(T, T.array)
+    object.__setattr__(rebased, "basepoint", 0)
+    assert reason(rebased) == f"{end} map codomain/basepoint mismatch"

@@ -312,16 +312,6 @@ def test_pi2_class_subdivision_bounds(T):
         assert d.verify_certificate(cert).ok
 
 
-def test_normal_form_counts(T, T_inv):
-    nf = d.normal_form(T)
-    assert (nf.plus_count, nf.minus_count) == (1, 0)
-    assert nf.value == 1
-    nf = d.normal_form(d.product(T, T_inv))
-    assert (nf.plus_count, nf.minus_count) == (0, 0)
-    for cert in nf.certificates:
-        assert d.verify_certificate(cert).ok
-
-
 def test_cancel_certificate_constant_input():
     f = d.constant_map(d.Rectangle(5, 5), d.S2, d.BASEPOINT)
     cert = d.cancel_certificate(f)

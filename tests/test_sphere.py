@@ -61,7 +61,3 @@ def test_antipode_values():
         assert d.antipode(d.antipode(i)) == i
 
 
-def test_label_tokens():
-    assert d.LABEL_TOKENS == ("1", "2", "3", "-1", "-2", "-3")
-    for i in range(6):
-        assert d.token_label(d.label_token(i)) == i
