@@ -9,6 +9,7 @@ All output is deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .degree import triangle_count
@@ -271,10 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built by the first run() and reused by every later one."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

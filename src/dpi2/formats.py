@@ -246,7 +246,7 @@ def _parse_grid_rows(
     if len(rows) != n + 1:
         where = rows[-1][0] if rows else None
         raise ParseError(f"expected {n + 1} grid rows, found {len(rows)}", where)
-    index = table.index
+    canonical, index = table.indices.get, table.index
     top_first = []
     for lno, line in rows:
         toks = line.split()
@@ -256,7 +256,9 @@ def _parse_grid_rows(
                 lno,
                 _tokens_with_cols(line)[-1][1] if len(toks) > m + 1 else None,
             )
-        row = [index(tok) for tok in toks]
+        row = list(map(canonical, toks))
+        if None in row:  # some token is not canonical: parse the row in full
+            row = [index(tok) for tok in toks]
         if None in row:
             a = row.index(None)
             raise ParseError(

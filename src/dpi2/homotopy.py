@@ -350,6 +350,11 @@ class _TraceBuilder:
     raster order.  ``one_step`` takes one window; ``shift`` takes a whole
     walk of line copies at once.  Moves are kept as a list of PackedMoves,
     joined once into the certificate.
+
+    Each verdict is kept by the exact content of its window, so a window
+    the builder has met before is not checked again: a repeated walk only
+    copies lines that already exist, and meets the same windows over and
+    over.
     """
 
     def __init__(self, start: GridMap):
@@ -359,6 +364,39 @@ class _TraceBuilder:
         self.rect = start.rect
         self.arr = np.array(start.array)
         self._chunks: list[PackedMoves] = []
+        # Window cells beyond the rectangle get a wildcard label, one past the
+        # codomain's, adjacent to every label.
+        npts = len(self.codomain.points)
+        self._amat = np.ones((npts + 1, npts + 1), dtype=bool)
+        self._amat[:npts, :npts] = self.codomain.adjacency_matrix
+        # One-step verdicts by (window shape, bytes of before then after).
+        self._verdicts: dict[tuple[tuple[int, ...], bytes], bool] = {}
+        # The grid as a GridMap, kept from the last flood until it changes.
+        self._map: GridMap | None = None
+
+    def _checked(self, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+        """``_one_step_ok`` of each (before, after) pair of the stacks.
+
+        Only window contents this builder has not checked yet go to the
+        kernel; the verdicts of the rest, valid or not, come from the memo.
+        """
+        shape = before.shape[1:]
+        pairs = np.concatenate(
+            (before.reshape(len(before), -1), after.reshape(len(after), -1)), axis=1
+        )
+        rows = pairs.view(np.dtype((np.void, pairs.shape[1] * pairs.itemsize)))[:, 0]
+        if len(rows) > 1:
+            distinct, inverse = np.unique(rows, return_inverse=True)
+        else:  # one_step's lone window: np.unique would cost more than a hit
+            distinct, inverse = rows, [0]
+        keys = [(shape, row.tobytes()) for row in distinct]
+        verdicts = self._verdicts
+        new = [i for i, key in enumerate(keys) if key not in verdicts]
+        if new:
+            fresh = distinct[new].view(pairs.dtype).reshape(len(new), 2, *shape)
+            for i, ok in zip(new, _one_step_ok(fresh[:, 0], fresh[:, 1], self._amat).tolist()):
+                verdicts[keys[i]] = ok
+        return np.array([verdicts[key] for key in keys], dtype=bool)[inverse]
 
     def one_step(self, window: SubRect, new_block: np.ndarray) -> None:
         """Rewrite ``window`` to ``new_block`` as one one-step homotopy."""
@@ -375,7 +413,7 @@ class _TraceBuilder:
             window.b_lo - gb0 : window.b_hi - gb0 + 1,
             window.a_lo - ga0 : window.a_hi - ga0 + 1,
         ] = new_block
-        if not _one_step_ok(sub_f, sub_g, self.codomain.adjacency_matrix):
+        if not self._checked(sub_f[None], sub_g[None])[0]:
             raise ValueError(f"window rewrite at {window} is not a one-step homotopy")
         cur = self.arr[
             window.b_lo : window.b_hi + 1, window.a_lo : window.a_hi + 1
@@ -391,12 +429,14 @@ class _TraceBuilder:
         if aa.size:
             self._chunks.append(PackedMoves(aa, bb, new_block[bs, as_]))
         cur[...] = new_block
+        self._map = None
 
     def flood(self, label: int) -> None:
         """Flood the whole grid by ``label``, taking ``flood``'s checked moves."""
         g, moves = flood(self.current_map(), label)
         self._chunks.append(moves)
         self.arr = np.array(g.array)
+        self._map = g
 
     def shift(
         self,
@@ -440,10 +480,8 @@ class _TraceBuilder:
                 f"leaves I_{{{self.rect.m},{self.rect.n}}}"
             )
         # The lines first - 1 .. last + 1 across s0 - 1 .. s1 + 1, where cells
-        # beyond the rectangle get a wildcard label adjacent to every label.
+        # beyond the rectangle hold the wildcard label.
         npts = len(self.codomain.points)
-        amat = np.ones((npts + 1, npts + 1), dtype=bool)
-        amat[:npts, :npts] = self.codomain.adjacency_matrix
         l0 = first - 1
         region = np.full((s1 - s0 + 3, last - first + 3), npts, np.min_scalar_type(npts))
         rc0, rc1 = max(s0 - 1, 0), min(s1 + 1, last_c)
@@ -479,7 +517,7 @@ class _TraceBuilder:
         before[passed, 1:-1, done] = orig[passed, 1:-1, 1]
         after = np.array(before)
         after[:, 1:-1, 1] = orig[:, 1:-1, src]
-        ok = _one_step_ok(before, after, amat)
+        ok = self._checked(before, after)
 
         new = orig[:, 1:-1, src]
         changed = new != orig[:, 1:-1, 1]
@@ -505,12 +543,15 @@ class _TraceBuilder:
             self._chunks.append(PackedMoves(a, b, new[ks, cs]))
         span_lines = np.arange(first, last + 1)
         grid[s0 : s1 + 1, first : last + 1] = region[1:-1, held(span_lines, times) - l0]
+        self._map = None
 
     def spider(self, a: int, b: int, v: int) -> None:
         """Emit a single validated spider move."""
         self.one_step(SubRect(a, a, b, b), np.full((1, 1), v, dtype=np.uint8))
 
     def current_map(self) -> GridMap:
+        if self._map is not None:
+            return self._map
         return from_array(self.arr, self.codomain, self.basepoint)
 
     def certificate(self) -> Certificate:

@@ -261,3 +261,27 @@ def test_gen_and_oracle_accept_values_at_the_budget(capsys, tmap, monkeypatch):
     assert run(capsys, argv) == (0, f"unknown: stub ({cli._BUDGET} states)\n", "")
     argv[2] = str(cli._BUDGET + 1)
     assert run(capsys, argv)[0] == 2
+
+
+def test_run_reuses_one_parser_and_prints_what_a_fresh_one_does(capsys, tmap, monkeypatch):
+    argvs = [
+        ["check", str(tmap)],
+        ["degree"],  # a usage error: exit 2
+        ["--help"],
+        ["op", "inverse", str(tmap)],
+        ["normalize", "--k", "five", str(tmap)],
+        ["op", "extend", "--help"],
+        ["gen", "-m", "3", "-n", "3", "--seed", "2"],
+        ["degree", str(tmap)],
+        ["check", str(tmap)],
+    ]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert {code for code, _, _ in fresh} == {0, 2}
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert [run(capsys, argv) for argv in argvs] == fresh
+    assert built == [1]

@@ -154,6 +154,58 @@ def test_flood_rejects_bad_label():
 
 
 # ---------------------------------------------------------------------------
+# The certificate builder's one-step checks.
+
+
+def test_builder_keeps_every_verdict_by_the_whole_window():
+    # The same 20 window bytes, as a 4 x 5 window around a 2 x 3 rewrite and
+    # as a 5 x 4 window around a 3 x 2 one: a valid step in the first shape,
+    # an invalid one in the second.
+    before = np.array([3, 1, 3, 1, 3, 3, 5, 3, 2, 3, 1, 3, 3, 2, 3, 2, 2, 2, 2, 2], np.uint8)
+    after = before.copy()
+    after[[6, 13]] = 3, 4
+    arr = np.full((7, 13), d.BASEPOINT, np.uint8)
+    arr[1:5, 1:6] = before.reshape(4, 5)
+    arr[1:6, 7:11] = before.reshape(5, 4)
+    f = d.from_array(arr, d.S2, d.BASEPOINT)
+    wide = (d.SubRect(2, 4, 2, 3), after.reshape(4, 5)[1:3, 1:4])
+    tall = (d.SubRect(8, 9, 2, 4), after.reshape(5, 4)[1:4, 1:3])
+    for first, second in ((wide, tall), (tall, wide)):
+        builder = homotopy._TraceBuilder(f)
+        for window, block in (first, second):
+            if window == wide[0]:
+                builder.one_step(window, block)
+            else:
+                with pytest.raises(ValueError, match="not a one-step homotopy"):
+                    builder.one_step(window, block)
+    # One sea window before two different rewrites, the second invalid; and
+    # an invalid rewrite stays invalid when it comes again.
+    builder = homotopy._TraceBuilder(sea(8, 8))
+    builder.spider(2, 2, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a one-step homotopy"):
+            builder.spider(6, 6, 0)
+    assert (builder.arr[6, 6], len(builder.certificate().moves)) == (d.BASEPOINT, 1)
+
+
+def test_builder_map_is_kept_from_a_flood_until_the_grid_changes(T):
+    builder = homotopy._TraceBuilder(d.trivial_extend(T, 6, 6))
+    builder.flood(1)
+    g = builder.current_map()
+    assert builder.current_map() is g and g.values == builder.arr.tobytes()
+    a, b, v = next(
+        (a, b, v)
+        for b in range(1, 6)
+        for a in range(1, 6)
+        for v in range(6)
+        if v != g.value_at(a, b) and d.spider_valid(g, d.SpiderMove((a, b), v))
+    )
+    builder.spider(a, b, v)
+    now = builder.current_map()
+    assert now.values == builder.arr.tobytes() and now.value_at(a, b) == v
+
+
+# ---------------------------------------------------------------------------
 # Structural certificates.
 
 

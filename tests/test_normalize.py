@@ -2,9 +2,11 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 import dpi2 as d
+from dpi2 import homotopy
 from dpi2.normalize import _check_isolated
 
 from conftest import grid, T_TEXT
@@ -344,3 +346,19 @@ def test_i20_anchor_certificate_text_is_unchanged():
     assert (c, len(cert.moves)) == (2, 71_058)
     digest = hashlib.sha256(d.dump_certificate(cert).encode()).hexdigest()
     assert digest == "b1f1dffada671d9face3d82f45dc3ea2f1d082a622ecace57683de2644483cd8"
+
+
+def test_pi2_class_checks_each_window_content_once(monkeypatch):
+    # On the I_40 anchor the walks stack 13,280 one-step windows, but only
+    # about a hundred distinct ones; each builder checks each content once.
+    kernel = homotopy._one_step_ok
+    stacked = []
+
+    def counted(fa, ga, amat):
+        stacked.append(int(np.prod(fa.shape[:-2])))
+        return kernel(fa, ga, amat)
+
+    monkeypatch.setattr(homotopy, "_one_step_ok", counted)
+    c, cert = d.pi2_class(d.gen_random(5, 40, 40, 200, 4))
+    assert (c, len(cert.moves)) == (4, 322_224)
+    assert 0 < sum(stacked) <= 200
