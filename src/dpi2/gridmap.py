@@ -8,8 +8,8 @@ at index ``b * (m+1) + a``), which makes maps cheap to hash, compare, and
 shuttle through search frontiers.  Codomains are therefore limited to at
 most 256 points; every codomain of interest here is far smaller.
 
-All operations are pure: they validate, build a new value grid, and return
-a fresh GridMap.
+All operations are pure and return a fresh GridMap, validated unless it is
+valid by construction (``trivial_extend``'s sea padding).
 """
 
 from __future__ import annotations
@@ -138,7 +138,14 @@ def trivial_extend(f: GridMap, m2: int, n2: int) -> GridMap:
         return f
     out = np.full((n2 + 1, m2 + 1), f.basepoint, dtype=np.uint8)
     out[: f.rect.height, : f.rect.width] = f.array
-    return from_array(out, f.codomain, f.basepoint)
+    return _padded(f, Rectangle(m2, n2), out.tobytes())
+
+
+def _padded(f: GridMap, rect: Rectangle, values: bytes) -> GridMap:
+    """f padded with sea to ``rect``, unchecked: sea beside a pinned map is valid."""
+    g = object.__new__(GridMap)
+    g.__dict__.update(rect=rect, codomain=f.codomain, basepoint=f.basepoint, values=values)
+    return g
 
 
 def apply_alpha(f: GridMap, i: int) -> GridMap:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -657,15 +656,23 @@ def translate_trace(f: GridMap, r: SubRect, delta: tuple[int, int]) -> Certifica
 # Verification.
 
 
+_VERIFY_BLOCK = 8192  # moves per replay block; a block's lookups stay in cache
+
+
 def verify_certificate(c: Certificate) -> VerifyResult:
     """Replay a certificate from scratch and accept only a perfect run.
 
     Independent of the builder machinery: re-validates both endpoint grids
-    directly, then replays moves against a flat byte buffer using the
-    codomain's adjacency bitmasks.
+    directly, then replays the moves in blocks of ``_VERIFY_BLOCK``.  In a
+    block, a move reads each of its nine cells from the block's last earlier
+    write there, else from the grid as the block began, and is legal iff its
+    new label is adjacent to all nine.  The block's earliest flagged move is
+    the earliest illegal one: every move before it was legal, so by
+    induction each read the state a move-by-move replay gives it.  A legal
+    block is applied by its last write to each cell.
     """
     rect = c.common_rect
-    w, h = rect.width, rect.height
+    w = rect.width
     npts = len(c.codomain.points)
     amat = c.codomain.adjacency_matrix
     for name, g in (("start", c.start), ("end", c.end)):
@@ -685,31 +692,32 @@ def verify_certificate(c: Certificate) -> VerifyResult:
     outside = (a <= 0) | (a >= rect.m) | (b <= 0) | (b >= rect.n)
     rejected = outside | (v < 0) | (v >= npts)
     stop = int(rejected.argmax()) if rejected.any() else len(rejected)
-    masks = c.codomain.adjacency_masks
-    n0, n1, n2, n3, n4, n5, n6, n7 = (db * w + da for da, db in _OFFSETS)
-    vals = bytearray(c.start.values)
-    # Replayed in blocks, so that only one block's moves exist as Python ints.
-    pos_ok, val_ok = b[:stop] * w + a[:stop], v[:stop]
-    replay = chain.from_iterable(
-        zip(pos_ok[i : i + 65536].tolist(), val_ok[i : i + 65536].tolist())
-        for i in range(0, stop, 65536)
-    )
-    for idx, (pos, val) in enumerate(replay):
-        mask = masks[val]
-        if not (
-            (mask >> vals[pos])
-            & (mask >> vals[pos + n0]) & (mask >> vals[pos + n1])
-            & (mask >> vals[pos + n2]) & (mask >> vals[pos + n3])
-            & (mask >> vals[pos + n4]) & (mask >> vals[pos + n5])
-            & (mask >> vals[pos + n6]) & (mask >> vals[pos + n7])
-            & 1
-        ):
-            at = (pos % w, pos // w)
-            what = "current value" if not (mask >> vals[pos]) & 1 else "a neighbor"
+    adjacent = amat.ravel()  # adjacent[new * npts + old]
+    offsets = [0] + [db * w + da for da, db in _OFFSETS]
+    grid = np.array(c.start.array).ravel()
+    for s in range(0, stop, _VERIFY_BLOCK):
+        n = min(_VERIFY_BLOCK, stop - s)
+        pos = b[s : s + n] * w + a[s : s + n]
+        order = np.argsort(pos, kind="stable")
+        spos, sval = pos[order], v[s : s + n][order]
+        key = spos * n + order  # ascending: by cell, then by move
+        row = sval * npts
+        oks = []  # per offset, the moves whose new label is adjacent there
+        for d in offsets:
+            j = np.searchsorted(key, key + d * n) - 1  # the last earlier write there
+            hit = (j >= 0) & (spos[j] == spos + d)
+            oks.append(adjacent[row + np.where(hit, sval[j], grid[spos + d])])
+        legal = np.logical_and.reduce(oks)
+        if not legal.all():
+            k = int(np.argmin(np.where(legal, n, order)))  # earliest in move order
+            idx = s + int(order[k])
+            at = (int(a[idx]), int(b[idx]))
+            what = "current value" if not oks[0][k] else "a neighbor"
             return VerifyResult(
                 False, f"move {idx} at {at}: new value not adjacent to {what}", idx
             )
-        vals[pos] = val
+        last = np.append(spos[1:] != spos[:-1], True)
+        grid[spos[last]] = sval[last]
     if stop < len(rejected):
         at = (int(a[stop]), int(b[stop]))
         if outside[stop]:
@@ -717,6 +725,6 @@ def verify_certificate(c: Certificate) -> VerifyResult:
         else:
             reason = f"move {stop} value {int(v[stop])} outside codomain"
         return VerifyResult(False, reason, stop)
-    if bytes(vals) != c.end.values:
+    if grid.tobytes() != c.end.values:
         return VerifyResult(False, "replayed moves do not reach the end map")
     return VerifyResult(True)

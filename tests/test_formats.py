@@ -304,6 +304,14 @@ def test_certificate_text_io_memory_is_bounded_by_the_document():
     assert dump_peak < 3 * len(doc), f"dump peaks at {dump_peak / len(doc):.1f}x the text"
 
 
+def test_verify_memory_is_bounded_by_a_block():
+    # The up-front range checks take two bytes a move; the replay holds one
+    # block's arrays at a time, not nine lookups for every move at once.
+    cert = _toggle_certificate(400_000)
+    peak = _traced_peak(d.verify_certificate, cert)
+    assert peak < 16_000_000, f"verify of 800k moves peaks at {peak / 1e6:.1f} MB"
+
+
 def _with_first_move(doc: str, move: str) -> tuple[str, int]:
     """``doc`` with its first move line replaced, and that line's number."""
     lines = doc.split("\n")

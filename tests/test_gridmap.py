@@ -72,6 +72,20 @@ def test_trivial_extend_keeps_content(T):
         d.trivial_extend(T, 3, 4)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_trivial_extend_builds_what_from_array_does_without_a_recheck(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    m, n, pad_m, pad_n = rng.integers(2, 7, size=2).tolist() + rng.integers(0, 4, size=2).tolist()
+    f = d.gen_random(seed, m, n, moves=int(rng.integers(0, 20)))
+    out = np.full((n + pad_n + 1, m + pad_m + 1), f.basepoint, dtype=np.uint8)
+    out[: n + 1, : m + 1] = f.array
+    want = d.from_array(out, f.codomain, f.basepoint)
+    checks = []
+    monkeypatch.setattr(d.GridMap, "__post_init__", lambda g: checks.append(g))
+    g = d.trivial_extend(f, m + pad_m, n + pad_n)
+    assert g == want and checks == []  # equal values, rect, codomain and basepoint
+
+
 def test_apply_alpha_rightmost_is_trivial_extend(T):
     assert d.apply_alpha(T, 4).values == d.trivial_extend(T, 5, 4).values
     assert d.apply_beta(T, 4).values == d.trivial_extend(T, 4, 5).values

@@ -450,6 +450,67 @@ def test_verifier_reports_the_earliest_bad_move(T):
         "move 0 at (1, 1): new value not adjacent to a neighbor", 0)
 
 
+def _certificate(start, valid, bad=()):
+    """A certificate of the ``valid`` moves from start, then the ``bad`` ones."""
+    end = start
+    for mv in valid:
+        end = d.apply_spider(end, mv)
+    return d.Certificate(
+        codomain=d.S2,
+        basepoint=d.BASEPOINT,
+        common_rect=start.rect,
+        start=start,
+        moves=(*valid, *bad),
+        end=end,
+    )
+
+
+@pytest.mark.parametrize("labels", [(1, 3, 4, 3), (1, 3, 4)])
+def test_verifier_reads_no_later_write_in_a_block_on_one_cell(labels):
+    # Sea to e2 and back, then to -e2 (and back): before its first move, the
+    # cell holds sea, not the block's last write.
+    cert = _certificate(sea(4, 4), [d.SpiderMove((1, 1), v) for v in labels])
+    assert d.verify_certificate(cert).ok
+
+
+def _rejection(cert):
+    res = d.verify_certificate(cert)
+    return res.reason, res.move_index
+
+
+def test_verifier_sees_the_last_write_of_the_previous_block(monkeypatch):
+    # Blocks of two moves: (1, 1) goes to e3 and then to e2, and in the next
+    # block -e2 next to it clashes with the e2.
+    monkeypatch.setattr(homotopy, "_VERIFY_BLOCK", 2)
+    valid = (d.SpiderMove((1, 1), 2), d.SpiderMove((1, 1), 1))
+    assert _rejection(_certificate(sea(4, 4), valid, [d.SpiderMove((2, 2), 4)])) == (
+        "move 2 at (2, 2): new value not adjacent to a neighbor", 2)
+
+
+def test_verifier_names_the_earliest_bad_move_not_the_first_bad_cell():
+    # Both -e2 moves clash with the e2 at (2, 2); the later one is in the
+    # lower cell.
+    bad = (d.SpiderMove((3, 3), 4), d.SpiderMove((1, 1), 4))
+    assert _rejection(_certificate(sea(4, 4), [d.SpiderMove((2, 2), 1)], bad)) == (
+        "move 1 at (3, 3): new value not adjacent to a neighbor", 1)
+
+
+@pytest.mark.parametrize("written", [False, True], ids=["in-start-map", "written"])
+@pytest.mark.parametrize("offset", homotopy._OFFSETS, ids=lambda o: f"{o[0]},{o[1]}")
+def test_verifier_checks_each_neighbor_alone(offset, written):
+    # The e2 at (2, 2) is the only label -e2 clashes with, whether the start
+    # map holds it or an earlier move of the block wrote it.
+    e2 = [d.SpiderMove((2, 2), 1)]
+    clash = d.SpiderMove((2 - offset[0], 2 - offset[1]), 4)
+    if written:
+        cert = _certificate(sea(4, 4), e2, [clash])
+    else:
+        cert = _certificate(_certificate(sea(4, 4), e2).end, [], [clash])
+    assert _rejection(cert) == (
+        f"move {len(cert) - 1} at {clash.at}: new value not adjacent to a neighbor",
+        len(cert) - 1)
+
+
 def _unchecked(f, arr):
     """A fresh GridMap of f's shape holding arr, which GridMap never checked."""
     g = object.__new__(d.GridMap)

@@ -14,7 +14,9 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import dpi2 as d
+from dpi2 import homotopy
 from dpi2.formats import _scan_moves
+from dpi2.grid import grid_fault
 from dpi2.homotopy import _TraceBuilder
 from dpi2.normalize import _emit_subdivision
 
@@ -320,3 +322,103 @@ def test_block_parsed_moves_match_the_per_line_grammar(case, block_chars):
         cert, lines = d.load_certificate(doc)
         assert lines.dtype == np.int64 and not lines.flags.writeable
         assert d.dump_certificate(cert) == doc
+
+
+def _replayed(f, moves):
+    """The map f after ``moves``, all of them valid."""
+    vals, w = bytearray(f.values), f.rect.width
+    for a, b, v in zip(moves.a.tolist(), moves.b.tolist(), moves.label.tolist()):
+        vals[b * w + a] = v
+    return dataclasses.replace(f, values=bytes(vals))
+
+
+def _unchecked_end(f, a, b, label):
+    """f with cell (a, b) relabeled, built without GridMap's checks."""
+    vals = bytearray(f.values)
+    vals[b * f.rect.width + a] = label
+    g = object.__new__(d.GridMap)
+    g.__dict__.update(
+        rect=f.rect, codomain=f.codomain, basepoint=f.basepoint, values=bytes(vals)
+    )
+    return g
+
+
+@st.composite
+def mutated_certificates(draw):
+    """Up to 200 moves cut from a pi2_class or two-flood certificate, maybe mutated.
+
+    A mutation changes one move's label or moves its cell by one, drops a
+    move, duplicates one with a new label, swaps two, or relabels one cell
+    of the end grid.
+    """
+    if draw(st.booleans()):
+        cert = d.pi2_class(draw(small_maps()))[1]
+    else:
+        f = draw(walked_maps())
+        g, first = d.flood(f, draw(st.sampled_from(LABELS)))
+        h, second = d.flood(g, draw(st.sampled_from(LABELS)))
+        cert = dataclasses.replace(d.identity_certificate(f), moves=(*first, *second), end=h)
+    lo = draw(st.integers(0, len(cert.moves)))
+    hi = draw(st.integers(lo, min(lo + 200, len(cert.moves))))
+    start = _replayed(cert.start, cert.moves[:lo])
+    moves = list(cert.moves[lo:hi])
+    end = _replayed(start, cert.moves[lo:hi])
+    kinds = ["none", "label", "cell", "drop", "duplicate", "swap", "end cell"]
+    kind = draw(st.sampled_from(kinds if moves else ["none", "end cell"]))
+    event(f"mutation: {kind}")
+    i = draw(st.integers(0, len(moves) - 1)) if moves else 0
+    if kind == "label":  # now and then one past either end of the codomain
+        moves[i] = d.SpiderMove(moves[i].at, draw(st.integers(-1, len(LABELS))))
+    elif kind == "cell":
+        (a, b), step = moves[i].at, draw(st.sampled_from([-1, 1]))
+        at = (a + step, b) if draw(st.booleans()) else (a, b + step)
+        moves[i] = d.SpiderMove(at, moves[i].new_value)
+    elif kind == "drop":
+        del moves[i]
+    elif kind == "duplicate":
+        moves.insert(i + 1, d.SpiderMove(moves[i].at, draw(st.sampled_from(LABELS))))
+    elif kind == "swap":
+        j = draw(st.integers(0, len(moves) - 1))
+        moves[i], moves[j] = moves[j], moves[i]
+    elif kind == "end cell":
+        at = draw(st.integers(0, end.rect.m)), draw(st.integers(0, end.rect.n))
+        end = _unchecked_end(end, *at, draw(st.sampled_from(LABELS)))
+    return dataclasses.replace(cert, start=start, moves=moves, end=end)
+
+
+def _move_by_move(cert):
+    """verify_certificate's verdict, from one ``spider_valid`` check a move."""
+    amat = cert.codomain.adjacency_matrix
+    for name, g in (("start", cert.start), ("end", cert.end)):
+        fault = grid_fault(g.array, g.basepoint, amat)
+        if fault is not None:
+            what = "boundary not pinned" if len(fault) == 1 else "not continuous"
+            return False, f"{name} map {what}", None
+    cur, rect = cert.start, cert.common_rect
+    for i, mv in enumerate(cert.moves):
+        (a, b), v = mv.at, mv.new_value
+        if not (0 < a < rect.m and 0 < b < rect.n):
+            return False, f"move {i} targets boundary or exterior cell {mv.at}", i
+        if v not in LABELS:
+            return False, f"move {i} value {v} outside codomain", i
+        if not d.spider_valid(cur, mv):
+            what = "a neighbor" if amat[v, cur.value_at(a, b)] else "current value"
+            return False, f"move {i} at {mv.at}: new value not adjacent to {what}", i
+        cur = d.apply_spider(cur, mv)
+    if cur.values != cert.end.values:
+        return False, "replayed moves do not reach the end map", None
+    return True, None, None
+
+
+@settings(max_examples=120, deadline=None)
+@given(mutated_certificates())
+def test_blocked_verifier_matches_a_move_by_move_replay(cert):
+    # Blocks of 1, 2 and 7 moves put block edges between every kind of
+    # dependent pair: a cell written twice, and a move next to a write.
+    want = _move_by_move(cert)
+    event("accepted" if want[0] else "rejected")
+    for block in (1, 2, 7, homotopy._VERIFY_BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homotopy, "_VERIFY_BLOCK", block)
+            res = d.verify_certificate(cert)
+        assert (res.ok, res.reason, res.move_index) == want, block
