@@ -15,9 +15,9 @@ import sys
 from .degree import triangle_count
 from .formats import (
     ParseError,
+    TokenTable,
     dump_certificate,
     dump_map,
-    index_of_token,
     load_certificate,
     load_map,
 )
@@ -161,7 +161,7 @@ def _cmd_op(args) -> int:
     elif args.operation == "beta":
         out = apply_beta(f, args.j)
     else:  # flood
-        label = index_of_token(args.label, f.codomain)
+        label = TokenTable(f.codomain).index(args.label)
         if label is None:
             raise ParseError(f"unknown label token {args.label!r}")
         out, _ = flood(f, label)

@@ -1,10 +1,11 @@
-"""Text formats: `.dimg` codomains, `.dmap` grid maps, `.dcert` certificates.
+"""Text formats: `.dmap` grid maps and `.dcert` certificates.
 
-All three are line-oriented UTF-8 with LF endings.  Grid bodies are written
+Both are line-oriented UTF-8 with LF endings.  Grid bodies are written
 top row first (row b = n down to b = 0) so files read like the rendered grid.
 Sphere codomains use signed axis tokens (`1 2 3 -1 -2 -3` for the 2-sphere)
-with `.` as an alias for `-1`; every other codomain uses decimal point
-indices and no dot alias.
+with `.` as an alias for `-1`.  A file names its codomain: the spheres `S<n>`
+resolve by name, and any other codomain must be passed in by the caller;
+its labels are decimal point indices, with no dot alias.
 
 Parsers reject malformed, discontinuous, or boundary-violating input with
 1-based line/column diagnostics (ParseError) rather than stack traces.
@@ -18,13 +19,7 @@ from itertools import islice
 
 import numpy as np
 
-from .grid import (
-    DigitalImage,
-    Explicit,
-    LatticeCq,
-    Rectangle,
-    grid_fault,
-)
+from .grid import DigitalImage, Rectangle, grid_fault
 from .gridmap import GridMap, from_array
 from .homotopy import Certificate, PackedMoves
 from .sphere import make_sphere
@@ -63,11 +58,6 @@ def _lines_from(
         if raw and not raw.isspace():
             yield lno, raw, end + 1
         pos, lno = end + 1, lno + 1
-
-
-def _body_lines(text: str) -> list[tuple[int, str]]:
-    """All non-blank lines as (1-based line number, content)."""
-    return [(i, raw) for i, raw, _ in _lines_from(text, 0, 1)]
 
 
 def _parse_kv(token: str, key: str, line: int) -> str:
@@ -129,16 +119,6 @@ class TokenTable:
         return (axis - 1) + (n + 1 if m.group(1) else 0)
 
 
-def token_of_index(idx: int, codomain: DigitalImage) -> str:
-    """Canonical token for a point index (dot for a sphere's -e1)."""
-    return TokenTable(codomain).tokens[idx]
-
-
-def index_of_token(token: str, codomain: DigitalImage) -> int | None:
-    """Point index for a token, or None if the token is unknown."""
-    return TokenTable(codomain).index(token)
-
-
 def _resolve_codomain(name: str, provided: DigitalImage | None, line: int) -> DigitalImage:
     if provided is not None:
         if provided.name != name:
@@ -151,84 +131,9 @@ def _resolve_codomain(name: str, provided: DigitalImage | None, line: int) -> Di
     if m:
         return make_sphere(int(m.group(1)))
     raise ParseError(
-        f"unknown codomain {name!r}; pass the digital image loaded from its .dimg",
+        f"unknown codomain {name!r}; only the spheres S1, S2, ... are built in",
         line,
     )
-
-
-# ---------------------------------------------------------------------------
-# .dimg
-
-
-def dump_image(img: DigitalImage) -> str:
-    lines = []
-    if isinstance(img.adjacency, LatticeCq):
-        adj = f"c{img.adjacency.q}"
-    else:
-        adj = "explicit"
-    lines.append(f"dimg v1 {img.name} dim={img.dimension} adj={adj}")
-    for p in img.points:
-        lines.append(" ".join(str(c) for c in p))
-    if isinstance(img.adjacency, Explicit):
-        lines.append("edges")
-        for i, j in sorted(img.adjacency.edges):
-            if i < j:
-                lines.append(f"{i} {j}")
-    return "\n".join(lines) + "\n"
-
-
-def load_image(text: str) -> DigitalImage:
-    lines = _body_lines(text)
-    if not lines:
-        raise ParseError("empty document", 1)
-    lno, header = lines[0]
-    toks = header.split()
-    if len(toks) != 5 or toks[0] != "dimg" or toks[1] != "v1":
-        raise ParseError("expected header: dimg v1 <name> dim=<n> adj=<cq|explicit>", lno)
-    name = toks[2]
-    try:
-        dim = int(_parse_kv(toks[3], "dim", lno))
-    except ValueError as e:
-        raise ParseError(f"bad dimension: {e}", lno) from None
-    adj_token = _parse_kv(toks[4], "adj", lno)
-    points: list[tuple[int, ...]] = []
-    edge_pairs: list[tuple[int, int]] = []
-    in_edges = False
-    for lno2, line in lines[1:]:
-        if line.strip() == "edges":
-            if in_edges:
-                raise ParseError("duplicate edges section", lno2)
-            in_edges = True
-            continue
-        try:
-            nums = [int(t) for t in line.split()]
-        except ValueError:
-            raise ParseError("expected integers", lno2) from None
-        if in_edges:
-            if len(nums) != 2:
-                raise ParseError("edge lines carry exactly two indices", lno2)
-            edge_pairs.append((nums[0], nums[1]))
-        else:
-            if len(nums) != dim:
-                raise ParseError(
-                    f"point has {len(nums)} coordinates, expected {dim}", lno2
-                )
-            points.append(tuple(nums))
-    if adj_token == "explicit":
-        if not in_edges:
-            raise ParseError("adj=explicit requires an edges section", lines[0][0])
-        adjacency = Explicit.from_pairs(edge_pairs)
-    else:
-        m = re.fullmatch(r"c([1-9]\d*)", adj_token)
-        if not m:
-            raise ParseError(f"unknown adjacency {adj_token!r}", lines[0][0])
-        if in_edges:
-            raise ParseError("edges section is only valid with adj=explicit", lines[0][0])
-        adjacency = LatticeCq(int(m.group(1)))
-    try:
-        return DigitalImage(name=name, points=tuple(points), adjacency=adjacency)
-    except ValueError as e:
-        raise ParseError(str(e), lines[0][0]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +242,7 @@ def dump_map(f: GridMap) -> str:
 
 
 def load_map(text: str, codomain: DigitalImage | None = None) -> GridMap:
-    lines = _body_lines(text)
+    lines = [(i, raw) for i, raw, _ in _lines_from(text, 0, 1)]
     if not lines:
         raise ParseError("empty document", 1)
     lno, header = lines[0]

@@ -171,65 +171,14 @@ class Rectangle:
         """Number of points along the b-axis (n + 1)."""
         return self.n + 1
 
-    def points(self) -> list[tuple[int, int]]:
-        return [(a, b) for b in range(self.n + 1) for a in range(self.m + 1)]
-
-    def is_interior(self, a: int, b: int) -> bool:
-        return 0 < a < self.m and 0 < b < self.n
-
-
-def boundary(rect: Rectangle) -> set[tuple[int, int]]:
-    """The boundary of I_{m,n}: first/last column union first/last row."""
-    pts: set[tuple[int, int]] = set()
-    for b in range(rect.n + 1):
-        pts.add((0, b))
-        pts.add((rect.m, b))
-    for a in range(rect.m + 1):
-        pts.add((a, 0))
-        pts.add((a, rect.n))
-    return pts
-
 
 # --- continuity checking -------------------------------------------------
 #
 # A value grid (row-major, arr[b, a]) is continuous when every 8-adjacent
-# pair of cells carries adjacent values.  The vectorized check below slides
-# the grid against itself along the four distinct direction offsets
-# (symmetry covers the other four, reflexivity is free).
-
-_DIRS = ((1, 0), (0, 1), (1, 1), (1, -1))
-
-
-def values_continuous(arr: np.ndarray, adjacency_matrix: np.ndarray) -> bool:
-    for da, db in _DIRS:
-        a0 = arr[max(0, -db) : arr.shape[0] - max(0, db),
-                 max(0, -da) : arr.shape[1] - max(0, da)]
-        a1 = arr[max(0, db) : arr.shape[0] - max(0, -db),
-                 max(0, da) : arr.shape[1] - max(0, -da)]
-        if not adjacency_matrix[a0, a1].all():
-            return False
-    return True
-
-
-def first_discontinuity(
-    arr: np.ndarray, adjacency_matrix: np.ndarray
-) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """First 8-adjacent cell pair with non-adjacent values, or None.
-
-    Returns ((a, b), (a2, b2)) in raster order of the first cell; used for
-    parser diagnostics.
-    """
-    h, w = arr.shape
-    for b in range(h):
-        for a in range(w):
-            v = arr[b, a]
-            for db in (0, 1):
-                for da in ((1,) if db == 0 else (-1, 0, 1)):
-                    a2, b2 = a + da, b + db
-                    if 0 <= a2 < w and 0 <= b2 < h:
-                        if not adjacency_matrix[v, arr[b2, a2]]:
-                            return (a, b), (a2, b2)
-    return None
+# pair of cells carries adjacent values.  The check slides the grid against
+# itself along the four "later" neighbour offsets (da, db) of a cell, in the
+# order a raster scan meets them; symmetry covers the other four, and
+# reflexivity is free.
 
 
 def grid_fault(
@@ -238,8 +187,9 @@ def grid_fault(
     """The first fault of a based, continuous value grid, or None.
 
     ``((a, b),)`` names the first boundary cell, in raster order, that does
-    not carry the basepoint; failing that, the pair of cells that
-    ``first_discontinuity`` names.
+    not carry the basepoint.  Failing that, ``((a, b), (a2, b2))`` names the
+    first 8-adjacent pair with non-adjacent values: the first cell (a, b) in
+    raster order that has one, paired with its first such later neighbour.
     """
     off = arr != basepoint
     off[1:-1, 1:-1] = False  # only boundary cells must carry the basepoint
@@ -247,6 +197,15 @@ def grid_fault(
         # argmax on the flat mask finds the first hit in b-then-a order.
         b, a = divmod(int(off.argmax()), arr.shape[1])
         return ((a, b),)
-    if values_continuous(arr, adjacency_matrix):
+    h, w = arr.shape
+    faults = []
+    for i, (da, db) in enumerate(((1, 0), (-1, 1), (0, 1), (1, 1))):
+        lo, hi = max(0, -da), w - max(0, da)  # the columns a with a + da inside
+        ok = adjacency_matrix[arr[: h - db, lo:hi], arr[db:, lo + da : hi + da]]
+        if not ok.all():  # argmin finds the first non-adjacent pair in raster order
+            b, a = divmod(int(ok.argmin()), hi - lo)
+            faults.append((b, a + lo, i, da, db))
+    if not faults:
         return None
-    return first_discontinuity(arr, adjacency_matrix)
+    b, a, _, da, db = min(faults)  # the first cell, then its first direction
+    return (a, b), (a + da, b + db)

@@ -379,41 +379,6 @@ def _reduce_island(builder: _TraceBuilder, cx: int, cy: int, cls: int) -> None:
         _flip_to_mirror(builder, cx, cy)
 
 
-def reduce_islands(g: GridMap, islands) -> tuple[GridMap, Certificate]:
-    """Reduce every island of an isolated map to a canonical stamp in place.
-
-    Class +-1 islands become the two 3x3 stamps, class-0 islands are erased.
-    The domain grows by two rows only when some rotation needs headroom.
-    """
-    islands = list(islands)
-    arr = g.array
-    for isl in islands:
-        a, b = isl.center
-        if arr[b, a] != _E1:
-            raise ValueError(f"no island center at {isl.center}")
-    classes = [classify_island(isl) for isl in islands]
-    needs_rotation = False
-    for isl, cls in zip(islands, classes):
-        if cls == 0:
-            continue
-        form = (isl.ring[4], isl.ring[6], isl.ring[0], isl.ring[2])
-        target = _PLUS_FORM if cls > 0 else _MINUS_PREFLIP
-        r = _rotations_to(form, target)
-        if r is None:
-            raise RuntimeError(f"island form {form} inconsistent with class {cls}")
-        if r > 0:
-            needs_rotation = True
-    n2 = g.rect.n
-    nonsea = np.nonzero((arr != _SEA).any(axis=1))[0]
-    if needs_rotation and nonsea.size and int(nonsea.max()) > n2 - 2:
-        n2 += 2
-    builder = _TraceBuilder(trivial_extend(g, g.rect.m, n2))
-    for isl, cls in zip(islands, classes):
-        _reduce_island(builder, isl.center[0], isl.center[1], cls)
-    cert = builder.certificate()
-    return cert.end, cert
-
-
 # ---------------------------------------------------------------------------
 # Arrangement and pairwise cancellation.
 

@@ -39,6 +39,17 @@ def test_check_reports_position(capsys, tmp_path):
     assert "line 2" in err and "column 3" in err
 
 
+def test_check_names_an_unknown_codomain(capsys, tmp_path):
+    p = tmp_path / "mystery.dmap"
+    p.write_text("dmap v1 w=1 h=1 codomain=mystery basepoint=0\n0 0\n0 0\n")
+    code, out, err = run(capsys, ["check", str(p)])
+    assert code == 1 and out == ""
+    assert err == (
+        "error: line 1: unknown codomain 'mystery'; only the spheres S1, S2, ... "
+        "are built in\n"
+    )
+
+
 def test_missing_file_is_an_error(capsys, tmp_path):
     code, out, err = run(capsys, ["check", str(tmp_path / "nope.dmap")])
     assert code == 1 and "error:" in err

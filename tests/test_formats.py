@@ -3,10 +3,12 @@ import re
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import dpi2 as d
-from dpi2 import ParseError
+from dpi2 import ParseError, homotopy
+from dpi2.formats import TokenTable
 
 from conftest import DATA, grid, T_TEXT
 
@@ -119,29 +121,6 @@ def test_non_sphere_codomains_use_decimal_tokens():
         d.load_map(bad, codomain=img)
 
 
-def test_image_roundtrip_sphere():
-    doc = d.dump_image(d.S2)
-    assert d.load_image(doc) == d.S2
-
-
-def test_image_roundtrip_lattice():
-    img = d.DigitalImage(
-        name="Z2c1",
-        points=tuple((a, b) for a in range(3) for b in range(3)),
-        adjacency=d.LatticeCq(1),
-    )
-    assert d.load_image(d.dump_image(img)) == img
-
-
-def test_image_parse_errors():
-    with pytest.raises(ParseError):
-        d.load_image("")
-    with pytest.raises(ParseError):
-        d.load_image("dimg v1 x dim=2 adj=c9000x\n0 0\n")
-    with pytest.raises(ParseError):
-        d.load_image("dimg v1 x dim=2 adj=c1\n0 0 0\n")  # wrong coordinate count
-
-
 def test_certificate_roundtrip(T):
     cls, cert = d.pi2_class(T)
     doc = d.dump_certificate(cert)
@@ -203,11 +182,12 @@ def test_end_grid_faults_name_their_source_line():
 
 
 def test_token_helpers():
-    assert d.token_of_index(3, d.S2) == "."
-    assert d.token_of_index(4, d.S2) == "-2"
-    assert d.index_of_token(".", d.S2) == 3
-    assert d.index_of_token("-3", d.S2) == 5
-    assert d.index_of_token("7", d.S2) is None
+    table = TokenTable(d.S2)
+    assert table.tokens[3] == "."
+    assert table.tokens[4] == "-2"
+    assert table.index(".") == 3
+    assert table.index("-3") == 5
+    assert table.index("7") is None
 
 
 def test_golden_certificate_round_trips_byte_for_byte():
@@ -240,13 +220,14 @@ def test_non_standard_six_point_s2_keeps_decimal_tokens():
         points=tuple((i, 0) for i in range(6)),
         adjacency=d.Explicit.from_pairs([(i, i + 1) for i in range(5)]),
     )
-    assert d.token_of_index(3, fake) == "3"
-    assert d.index_of_token("3", fake) == 3
-    assert d.index_of_token(".", fake) is None
-    assert d.index_of_token("-1", fake) is None
+    table = TokenTable(fake)
+    assert table.tokens[3] == "3"
+    assert table.index("3") == 3
+    assert table.index(".") is None
+    assert table.index("-1") is None
     # non-canonical decimal spellings still go through the numeric parse
-    assert d.index_of_token("005", fake) == 5
-    assert d.index_of_token("007", fake) is None  # 7 is past the last point
+    assert table.index("005") == 5
+    assert table.index("007") is None  # 7 is past the last point
     f = d.constant_map(d.Rectangle(2, 2), fake, 3)
     doc = d.dump_map(f)
     assert doc.splitlines()[1] == "3 3 3"
@@ -256,12 +237,13 @@ def test_non_standard_six_point_s2_keeps_decimal_tokens():
 
 def _toggle_certificate(n_pairs: int) -> d.Certificate:
     """An identity certificate padded with legal there-and-back moves."""
+    # Pair k takes cell (1 + k % 19, 1 + k // 19 % 19) to e2 and back.
     sea = d.constant_map(d.Rectangle(20, 20), d.S2, d.BASEPOINT)
-    moves = []
-    for k in range(n_pairs):
-        at = (1 + k % 19, 1 + (k // 19) % 19)
-        moves += [d.SpiderMove(at, 1), d.SpiderMove(at, d.BASEPOINT)]
-    return dataclasses.replace(d.identity_certificate(sea), moves=tuple(moves))
+    k = np.arange(n_pairs)
+    a, b = np.repeat(1 + k % 19, 2), np.repeat(1 + k // 19 % 19, 2)
+    label = np.tile([1, d.BASEPOINT], n_pairs)
+    moves = homotopy.PackedMoves(a, b, label)
+    return dataclasses.replace(d.identity_certificate(sea), moves=moves)
 
 
 def test_certificate_load_is_linear_in_moves():
@@ -345,7 +327,7 @@ def test_sparse_and_extreme_move_coordinates_dump_and_load(T):
     lines = doc.split("\n")
     k = lines.index("moves") + 1
     assert lines[k : k + 5] == [
-        f"S {a} {b} {d.token_of_index(v, d.S2)}" for (a, b), v in moves
+        f"S {a} {b} {TokenTable(d.S2).tokens[v]}" for (a, b), v in moves
     ] + ["end"]
     cert2, move_lines = d.load_certificate(doc)
     assert cert2.moves == cert.moves and move_lines.tolist() == [k + 1, k + 2, k + 3, k + 4]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dpi2 as d
+from dpi2.grid import grid_fault
 
 
 def const(m, n):
@@ -11,7 +12,7 @@ def const(m, n):
 def test_single_cell_constant():
     f = const(0, 0)
     assert f.values == bytes([d.BASEPOINT])
-    assert d.values_continuous(f.array, f.codomain.adjacency_matrix)
+    assert grid_fault(f.array, f.basepoint, f.codomain.adjacency_matrix) is None
     assert d.triangle_count(f) == 0
 
 
@@ -100,7 +101,7 @@ def test_apply_alpha_duplicates_column(T):
         assert (ga[:, i + 1] == ta[:, i]).all()
         assert (ga[:, : i + 1] == ta[:, : i + 1]).all()
         assert (ga[:, i + 2 :] == ta[:, i + 1 :]).all()
-        assert d.values_continuous(g.array, g.codomain.adjacency_matrix)
+        assert grid_fault(g.array, g.basepoint, g.codomain.adjacency_matrix) is None
 
 
 def test_apply_alpha_on_constant():
@@ -186,7 +187,7 @@ def test_border_wrap_shapes_and_values(T):
     ga = g.array
     assert (ga[1:-1, 1:-1] == 3).all()  # the old constant fills the inside
     assert (ga[0, :] == 1).all() and (ga[:, -1] == 1).all()
-    assert d.values_continuous(g.array, g.codomain.adjacency_matrix)
+    assert grid_fault(g.array, g.basepoint, g.codomain.adjacency_matrix) is None
     assert d.border_wrap(T, 1).rect == d.Rectangle(6, 6)
 
 
@@ -199,7 +200,7 @@ def test_border_wrap_random_property():
     for seed in range(8):
         f = d.gen_random(seed, 5, 4, moves=10)
         g = d.border_wrap(f, 2)
-        assert d.values_continuous(g.array, g.codomain.adjacency_matrix)
+        assert grid_fault(g.array, g.basepoint, g.codomain.adjacency_matrix) is None
         assert d.triangle_count(g) == d.triangle_count(f)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dpi2 as d
-from dpi2 import homotopy
+from dpi2 import homotopy, normalize
 from dpi2.normalize import _check_isolated
 
 from conftest import grid, T_TEXT
@@ -244,28 +244,42 @@ def test_classify_matches_triangle_count_on_random_islands():
     assert {-1, 0, 1} <= hits
 
 
-def test_reduce_islands_erases_null_and_keeps_charge(T):
-    g = island_map((1, 1, 1, 1, 1, 1, 1, 1))
-    out, cert = d.reduce_islands(g, d.find_islands(g))
-    assert out.is_constant()
+def _count_reductions(monkeypatch) -> dict[str, int]:
+    """Count the calls pi2_class makes to the island erase and rotate steps."""
+    calls = {"_erase_island": 0, "_rotate_island": 0}
+    for name in calls:
+        step = getattr(normalize, name)
+
+        def counted(*args, _step=step, _name=name):
+            calls[_name] += 1
+            return _step(*args)
+
+        monkeypatch.setattr(normalize, name, counted)
+    return calls
+
+
+def _assert_reaches_canonical_stack(c, cert):
     assert d.verify_certificate(cert).ok
-
-    islands = d.find_islands(T)
-    out, cert = d.reduce_islands(T, islands)
-    assert d.verify_certificate(cert).ok
-    assert d.triangle_count(out) == 1
-    assert out.value_at(2, 2) == 0
+    assert cert.end.values == d.canonical_stack(c, cert.end.rect).values
 
 
-def test_reduce_islands_rewrites_to_reference_ring(T):
+def test_pi2_class_erases_a_null_island_and_rotates_charged_ones(monkeypatch):
+    # The floods wash most null islands away.  This dense map leaves one for
+    # the erase step, and its charged islands take two rotations.
+    calls = _count_reductions(monkeypatch)
+    c, cert = d.pi2_class(d.gen_random(0, 14, 14, moves=3000, plant=-1))
+    assert c == -1
+    assert calls == {"_erase_island": 1, "_rotate_island": 2}
+    _assert_reaches_canonical_stack(c, cert)
+
+
+def test_pi2_class_rotates_a_ring_to_the_reference_stamp(monkeypatch):
+    calls = _count_reductions(monkeypatch)
     rot = island_map((2, 4, 4, 5, 5, 1, 1, 2))  # a +1 island, rotated form
-    out, cert = d.reduce_islands(rot, d.find_islands(rot))
-    assert d.verify_certificate(cert).ok
-    assert d.triangle_count(out) == 1
-    # the ring is rewritten into the reference stamp (extra workroom rows
-    # may be appended above the original frame)
-    ref = d.trivial_extend(T, out.rect.m, out.rect.n)
-    assert out.values == ref.values
+    c, cert = d.pi2_class(rot)
+    assert c == 1
+    assert calls == {"_erase_island": 0, "_rotate_island": 3}
+    _assert_reaches_canonical_stack(c, cert)
 
 
 # --- the full pipeline -----------------------------------------------------
