@@ -9,7 +9,8 @@ shuttle through search frontiers.  Codomains are therefore limited to at
 most 256 points; every codomain of interest here is far smaller.
 
 All operations are pure and return a fresh GridMap, validated unless it is
-valid by construction (``trivial_extend``'s sea padding).
+valid by construction (``trivial_extend``'s sea padding, ``apply_spider``'s
+valid move).
 """
 
 from __future__ import annotations
@@ -138,11 +139,14 @@ def trivial_extend(f: GridMap, m2: int, n2: int) -> GridMap:
         return f
     out = np.full((n2 + 1, m2 + 1), f.basepoint, dtype=np.uint8)
     out[: f.rect.height, : f.rect.width] = f.array
-    return _padded(f, Rectangle(m2, n2), out.tobytes())
+    return _unchecked(f, Rectangle(m2, n2), out.tobytes())  # sea beside a pinned map is valid
 
 
-def _padded(f: GridMap, rect: Rectangle, values: bytes) -> GridMap:
-    """f padded with sea to ``rect``, unchecked: sea beside a pinned map is valid."""
+def _unchecked(f: GridMap, rect: Rectangle, values: bytes) -> GridMap:
+    """A GridMap like f on ``rect`` with ``values``, built without validation.
+
+    Only for results that are pinned and continuous by construction.
+    """
     g = object.__new__(GridMap)
     g.__dict__.update(rect=rect, codomain=f.codomain, basepoint=f.basepoint, values=values)
     return g

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Rectangle, DigitalImage, grid_fault
-from .gridmap import GridMap, SubRect, apply_alpha, from_array, trivial_extend
+from .gridmap import GridMap, SubRect, _unchecked, apply_alpha, from_array, trivial_extend
 
 # The eight neighbor offsets of a cell, as (da, db).
 _OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
@@ -245,46 +245,44 @@ def spider_valid(f: GridMap, mv: SpiderMove) -> bool:
 
 
 def apply_spider(f: GridMap, mv: SpiderMove) -> GridMap:
-    """Apply one valid spider move; raises on an invalid one."""
+    """Apply one valid spider move; raises on an invalid one.
+
+    A valid move keeps the map pinned and continuous, so the result is not
+    checked again.
+    """
     if not spider_valid(f, mv):
         raise ValueError(f"invalid spider move at {mv.at} -> {mv.new_value}")
     vals = bytearray(f.values)
     a, b = mv.at
     vals[b * f.rect.width + a] = mv.new_value
-    return GridMap(
-        rect=f.rect, codomain=f.codomain, basepoint=f.basepoint, values=bytes(vals)
-    )
+    return _unchecked(f, f.rect, bytes(vals))
 
 
 # ---------------------------------------------------------------------------
 # One-step homotopies.
 
 
-def _one_step_ok(fa: np.ndarray, ga: np.ndarray, amat: np.ndarray) -> np.ndarray:
-    """The pairwise criterion f(x) ~ g(x') for all x ~ x', per grid of a stack.
+def _one_step_ok(fa: np.ndarray, ga: np.ndarray, amat: np.ndarray) -> bool:
+    """The pairwise criterion f(x) ~ g(x') for all x ~ x' on one window.
 
-    ``fa`` and ``ga`` are (..., rows, cols) stacks of grids; the result holds
-    one verdict per grid.  Covers x = x' and the four unordered direction
-    classes, each checked in both (f, g) role orders.  Pairs are looked up
-    in the flattened adjacency matrix at f * size + g.
+    Covers x = x' and the four unordered direction classes, each checked in
+    both (f, g) role orders.  Pairs are looked up in the flattened adjacency
+    matrix at f * size + g.
     """
     flat = amat.ravel()
     fa = fa.astype(np.intp) * amat.shape[1]
     checks = (
         (fa, ga),
-        (fa[..., :, :-1], ga[..., :, 1:]),
-        (fa[..., :, 1:], ga[..., :, :-1]),
-        (fa[..., :-1, :], ga[..., 1:, :]),
-        (fa[..., 1:, :], ga[..., :-1, :]),
-        (fa[..., :-1, :-1], ga[..., 1:, 1:]),
-        (fa[..., 1:, 1:], ga[..., :-1, :-1]),
-        (fa[..., 1:, :-1], ga[..., :-1, 1:]),
-        (fa[..., :-1, 1:], ga[..., 1:, :-1]),
+        (fa[:, :-1], ga[:, 1:]),
+        (fa[:, 1:], ga[:, :-1]),
+        (fa[:-1, :], ga[1:, :]),
+        (fa[1:, :], ga[:-1, :]),
+        (fa[:-1, :-1], ga[1:, 1:]),
+        (fa[1:, 1:], ga[:-1, :-1]),
+        (fa[1:, :-1], ga[:-1, 1:]),
+        (fa[:-1, 1:], ga[1:, :-1]),
     )
-    ok = np.ones(fa.shape[:-2], dtype=bool)
-    for x, y in checks:
-        ok &= flat[x + y].all(axis=(-2, -1))
-    return ok
+    return all(flat[x + y].all() for x, y in checks)
 
 
 def one_step_check(f: GridMap, g: GridMap) -> bool:
@@ -293,7 +291,7 @@ def one_step_check(f: GridMap, g: GridMap) -> bool:
         raise ValueError("one-step check requires equal domains")
     if f.codomain != g.codomain or f.basepoint != g.basepoint:
         raise ValueError("one-step check requires equal codomain and basepoint")
-    return bool(_one_step_ok(f.array, g.array, f.codomain.adjacency_matrix))
+    return _one_step_ok(f.array, g.array, f.codomain.adjacency_matrix)
 
 
 def decompose_one_step(f: GridMap, g: GridMap) -> PackedMoves:
@@ -343,17 +341,17 @@ def flood(f: GridMap, b: int) -> tuple[GridMap, PackedMoves]:
 class _TraceBuilder:
     """Accumulates spider moves while mutating a working copy of a map.
 
-    All emission is made of one-step rewrites: the builder checks the
-    pairwise criterion on each rewritten window grown by one cell (cells
-    further out cannot see the change), then records the changed cells in
-    raster order.  ``one_step`` takes one window; ``shift`` takes a whole
-    walk of line copies at once.  Moves are kept as a list of PackedMoves,
-    joined once into the certificate.
+    All emission is made of one-step rewrites, recorded as the changed cells
+    in raster order.  ``one_step`` takes one window and checks the pairwise
+    criterion on it grown by one cell (cells further out cannot see the
+    change); ``shift`` takes a whole walk of line copies at once and checks
+    each copy by the line-copy rule.  Moves are kept as a list of
+    PackedMoves, joined once into the certificate.
 
-    Each verdict is kept by the exact content of its window, so a window
-    the builder has met before is not checked again: a repeated walk only
-    copies lines that already exist, and meets the same windows over and
-    over.
+    The grid is continuous at all times, which the line-copy rule assumes:
+    it starts as a GridMap, a flood's result is one, ``one_step`` requires
+    the rewritten window to be continuous, and a legal line copy keeps the
+    grid continuous.
     """
 
     def __init__(self, start: GridMap):
@@ -363,39 +361,13 @@ class _TraceBuilder:
         self.rect = start.rect
         self.arr = np.array(start.array)
         self._chunks: list[PackedMoves] = []
-        # Window cells beyond the rectangle get a wildcard label, one past the
+        # Cells beyond the rectangle get a wildcard label, one past the
         # codomain's, adjacent to every label.
         npts = len(self.codomain.points)
         self._amat = np.ones((npts + 1, npts + 1), dtype=bool)
         self._amat[:npts, :npts] = self.codomain.adjacency_matrix
-        # One-step verdicts by (window shape, bytes of before then after).
-        self._verdicts: dict[tuple[tuple[int, ...], bytes], bool] = {}
         # The grid as a GridMap, kept from the last flood until it changes.
         self._map: GridMap | None = None
-
-    def _checked(self, before: np.ndarray, after: np.ndarray) -> np.ndarray:
-        """``_one_step_ok`` of each (before, after) pair of the stacks.
-
-        Only window contents this builder has not checked yet go to the
-        kernel; the verdicts of the rest, valid or not, come from the memo.
-        """
-        shape = before.shape[1:]
-        pairs = np.concatenate(
-            (before.reshape(len(before), -1), after.reshape(len(after), -1)), axis=1
-        )
-        rows = pairs.view(np.dtype((np.void, pairs.shape[1] * pairs.itemsize)))[:, 0]
-        if len(rows) > 1:
-            distinct, inverse = np.unique(rows, return_inverse=True)
-        else:  # one_step's lone window: np.unique would cost more than a hit
-            distinct, inverse = rows, [0]
-        keys = [(shape, row.tobytes()) for row in distinct]
-        verdicts = self._verdicts
-        new = [i for i, key in enumerate(keys) if key not in verdicts]
-        if new:
-            fresh = distinct[new].view(pairs.dtype).reshape(len(new), 2, *shape)
-            for i, ok in zip(new, _one_step_ok(fresh[:, 0], fresh[:, 1], self._amat).tolist()):
-                verdicts[keys[i]] = ok
-        return np.array([verdicts[key] for key in keys], dtype=bool)[inverse]
 
     def one_step(self, window: SubRect, new_block: np.ndarray) -> None:
         """Rewrite ``window`` to ``new_block`` as one one-step homotopy."""
@@ -412,7 +384,8 @@ class _TraceBuilder:
             window.b_lo - gb0 : window.b_hi - gb0 + 1,
             window.a_lo - ga0 : window.a_hi - ga0 + 1,
         ] = new_block
-        if not self._checked(sub_f[None], sub_g[None])[0]:
+        amat = self._amat
+        if not (_one_step_ok(sub_f, sub_g, amat) and _one_step_ok(sub_g, sub_g, amat)):
             raise ValueError(f"window rewrite at {window} is not a one-step homotopy")
         cur = self.arr[
             window.b_lo : window.b_hi + 1, window.a_lo : window.a_hi + 1
@@ -457,14 +430,22 @@ class _TraceBuilder:
         on lines moved on by ``step`` each time, carrying a run of lines
         along.
 
-        Every intermediate state is known in closed form, so all steps are
-        checked in one vectorised call.  After t walks, the run of lines sits
-        t lines on and the lines it left hold copies of its trailing line.
-        Within a walk, the lines already passed hold their neighbour's value
-        from before the walk.  This holds inside the span; all else keeps its
-        original value.  Moves come out as the stepwise walks emit them: line
-        by line, raster order within a line.  An invalid walk raises
-        ValueError naming its first bad step, and emits nothing.
+        Each step is checked by the line-copy rule.  Copying line j - step
+        into line j of a continuous grid is a one-step homotopy iff each new
+        cell is adjacent to what line j + step holds beside it (at c - 1, c
+        and c + 1 across) just before the step; the new cell's other
+        neighbours are its own line's and line j's, whose neighbour it was.
+        A walk's first step looks up line j + step as the walk began.  A
+        later step looks up only the span's two ends: inside the span, line
+        j + step holds the copy of line j that the step before made.
+
+        After t walks, the run of lines sits t lines on and the lines it left
+        hold copies of its trailing line; within a walk, the lines already
+        passed hold their neighbour's value from before the walk.  This holds
+        inside the span; all else keeps its original value.  Moves come out
+        as the stepwise walks emit them: line by line, raster order within a
+        line.  An invalid walk raises ValueError naming its first bad step,
+        and emits nothing.
         """
         if axis not in ("a", "b") or step not in (1, -1) or times < 1:
             raise ValueError(f"cannot shift along {axis!r} by {step}, {times} times")
@@ -503,23 +484,17 @@ class _TraceBuilder:
         one = np.arange(hi, lo - 1, -1) if step > 0 else np.arange(lo, hi + 1)
         t = np.repeat(np.arange(times), len(one))
         walk = np.tile(one, times) + t * step
-        # Per step, lines j - 1, j, j + 1 before its walk; positions ``src``
-        # and ``done`` hold lines j - step and j + step.
-        near = walk[:, None] + (-1, 0, 1)
-        orig = np.empty((len(walk), region.shape[0], 3), region.dtype)
-        orig[:, 1:-1] = region[1:-1, held(near, t[:, None]) - l0].transpose(1, 0, 2)
-        orig[:, 0] = region[0, near - l0]
-        orig[:, -1] = region[-1, near - l0]
-        src, done = 1 - step, 1 + step
-        passed = np.arange(len(walk)) % len(one) != 0  # all but each walk's first
-        before = np.array(orig)
-        before[passed, 1:-1, done] = orig[passed, 1:-1, 1]
-        after = np.array(before)
-        after[:, 1:-1, 1] = orig[:, 1:-1, src]
-        ok = self._checked(before, after)
-
-        new = orig[:, 1:-1, src]
-        changed = new != orig[:, 1:-1, 1]
+        # Per step, the span of the new line j - step and of line j before it.
+        new = region[1:-1, held(walk - step, t) - l0].T
+        changed = new != region[1:-1, held(walk, t) - l0].T
+        amat, ahead = self._amat, walk + step - l0
+        ok = amat[new[:, 0], region[0, ahead]] & amat[new[:, -1], region[-1, ahead]]
+        # No earlier walk has reached a walk's first line j + step.
+        starts = np.arange(0, len(walk), len(one))
+        fresh, line = new[starts], region[:, ahead[starts]].T
+        ok[starts] &= (
+            amat[fresh, line[:, :-2]] & amat[fresh, line[:, 1:-1]] & amat[fresh, line[:, 2:]]
+        ).all(axis=1)
         across = np.arange(s0, s1 + 1)
         edge = changed & (
             ((walk == 0) | (walk == last_l))[:, None]

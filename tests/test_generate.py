@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import dpi2 as d
@@ -31,6 +33,23 @@ def test_determinism_is_byte_exact():
     assert d.dump_map(a) == d.dump_map(b)
     c = d.gen_random(10, 8, 7, moves=45, plant=-1)
     assert c.values != a.values  # different seed, different stream
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((5, 80, 80, 1500, 6), "57a3ef9cb86e9646aaa8b3c85f10ed87cfd9618b06db88c2821b544550bd1657"),
+        ((1, 7, 9, 300, -1), "5d2c8b6cacde6f472474c30917aebadfab05f0fe12969b449bf49b1fafe4ddb2"),
+        ((2, 12, 12, 0, 2), "63667478df350de63159ff63ddccde4610d52b20626f3cbf19eb65aae47411c5"),
+        ((7919, 30, 20, 5000, 0), "3189aa90c1cfe5883f2ac3f065402cb7c4084899819bcba2dde7251a6e1a4570"),
+    ],
+)
+def test_seeded_maps_keep_their_bytes(args, digest):
+    # Every benchmark input is a gen_random map; these digests were taken
+    # when each scrambled map was re-validated after every move.
+    f = d.gen_random(*args)
+    assert hashlib.sha256(f.values).hexdigest() == digest
+    assert grid_fault(f.array, f.basepoint, f.codomain.adjacency_matrix) is None
 
 
 def test_noise_prefix_property():

@@ -49,6 +49,15 @@ def test_apply_spider_and_revert(T):
 def test_apply_spider_rejects_invalid(T):
     with pytest.raises(ValueError):
         d.apply_spider(T, d.SpiderMove((0, 0), 1))
+    # Valid moves skip GridMap's checks, so every kind of invalid one must raise.
+    for f, mv in (
+        (T, d.SpiderMove((1, 2), 3)),  # beside e1, to its antipode
+        (sea(5, 5), d.SpiderMove((2, 2), 0)),  # open sea to the basepoint's antipode
+        (sea(5, 5), d.SpiderMove((2, 2), 6)),  # a label outside the codomain
+        (sea(5, 5), d.SpiderMove((5, 2), 1)),  # off the rectangle
+    ):
+        with pytest.raises(ValueError, match="invalid spider move"):
+            d.apply_spider(f, mv)
 
 
 def test_corner_moves_reach_the_four_value_form():
@@ -157,10 +166,10 @@ def test_flood_rejects_bad_label():
 # The certificate builder's one-step checks.
 
 
-def test_builder_keeps_every_verdict_by_the_whole_window():
+def test_builder_verdicts_do_not_depend_on_history():
     # The same 20 window bytes, as a 4 x 5 window around a 2 x 3 rewrite and
     # as a 5 x 4 window around a 3 x 2 one: a valid step in the first shape,
-    # an invalid one in the second.
+    # an invalid one in the second, in either order.
     before = np.array([3, 1, 3, 1, 3, 3, 5, 3, 2, 3, 1, 3, 3, 2, 3, 2, 2, 2, 2, 2], np.uint8)
     after = before.copy()
     after[[6, 13]] = 3, 4
@@ -186,6 +195,16 @@ def test_builder_keeps_every_verdict_by_the_whole_window():
         with pytest.raises(ValueError, match="not a one-step homotopy"):
             builder.spider(6, 6, 0)
     assert (builder.arr[6, 6], len(builder.certificate().moves)) == (d.BASEPOINT, 1)
+
+
+def test_one_step_rejects_a_rewrite_that_breaks_continuity():
+    # e2 beside -e2 passes the pairwise criterion against open sea, but the
+    # rewritten window is not continuous.
+    builder = homotopy._TraceBuilder(sea(6, 6))
+    with pytest.raises(ValueError, match="not a one-step homotopy"):
+        builder.one_step(d.SubRect(2, 3, 2, 2), np.array([[1, 4]], np.uint8))
+    assert (builder.arr == d.BASEPOINT).all()
+    assert builder.certificate().moves == ()
 
 
 def test_builder_map_is_kept_from_a_flood_until_the_grid_changes(T):

@@ -362,17 +362,26 @@ def test_i20_anchor_certificate_text_is_unchanged():
     assert digest == "b1f1dffada671d9face3d82f45dc3ea2f1d082a622ecace57683de2644483cd8"
 
 
-def test_pi2_class_checks_each_window_content_once(monkeypatch):
-    # On the I_40 anchor the walks stack 13,280 one-step windows, but only
-    # about a hundred distinct ones; each builder checks each content once.
-    kernel = homotopy._one_step_ok
-    stacked = []
+def test_pi2_class_shift_walks_make_no_window_check(monkeypatch):
+    # On the I_40 anchor the walks make 13,280 line copies; each is checked by
+    # the line-copy rule, so every window check comes from a lone rewrite.
+    kernel, shift = homotopy._one_step_ok, homotopy._TraceBuilder.shift
+    windows, walking = [], []
 
     def counted(fa, ga, amat):
-        stacked.append(int(np.prod(fa.shape[:-2])))
+        assert not walking and fa.ndim == ga.ndim == 2
+        windows.append(fa.shape)
         return kernel(fa, ga, amat)
 
+    def walk(self, *args, **kwargs):
+        walking.append(True)
+        try:
+            return shift(self, *args, **kwargs)
+        finally:
+            walking.pop()
+
     monkeypatch.setattr(homotopy, "_one_step_ok", counted)
+    monkeypatch.setattr(homotopy._TraceBuilder, "shift", walk)
     c, cert = d.pi2_class(d.gen_random(5, 40, 40, 200, 4))
     assert (c, len(cert.moves)) == (4, 322_224)
-    assert 0 < sum(stacked) <= 200
+    assert windows

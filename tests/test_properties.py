@@ -20,6 +20,8 @@ from dpi2.grid import grid_fault
 from dpi2.homotopy import _TraceBuilder
 from dpi2.normalize import _emit_subdivision
 
+from conftest import grid
+
 LABELS = range(len(d.S2.points))
 
 
@@ -149,6 +151,34 @@ def test_batched_shift_matches_the_stepwise_walk(case, twice):
     event(f"{'some' if stepwise.certificate().moves else 'no'} moves")
     assert (batched.arr == stepwise.arr).all()
     assert batched.certificate().moves == stepwise.certificate().moves
+
+
+@pytest.mark.parametrize("text, walk, window, passed", [
+    # A walk's first step: copying column 1's e2 into column 2 puts it beside
+    # column 3's -e2, two lines from the source.
+    (". . . . .\n. 2 3 -2 .\n. . . . .", ("a", 2, 2, 1, None, 1), d.SubRect(2, 2, 0, 2), 0),
+    # A later step of a spanned walk: the first copies (2, 2) into (3, 2);
+    # the second puts column 1's e2 at (2, 2), diagonal to -e2 at (3, 1),
+    # just beyond the span's lower end.
+    (
+        ". . . . . .\n. 2 3 . . .\n. . . -2 . .\n. . . . . .",
+        ("a", 2, 3, 1, (2, 2), 1),
+        d.SubRect(2, 2, 2, 2),
+        1,
+    ),
+])
+def test_shift_fails_where_the_line_copy_rule_looks(text, walk, window, passed):
+    f = grid(text)
+    message = f"window rewrite at {window} is not a one-step homotopy"
+    stepwise, batched = _TraceBuilder(f), _TraceBuilder(f)
+    with pytest.raises(ValueError) as caught:
+        _stepwise_shift(stepwise, *walk)
+    assert str(caught.value) == message
+    assert len(stepwise.certificate().moves) == passed  # the steps before the bad one
+    with pytest.raises(ValueError) as caught:
+        batched.shift(*walk)
+    assert str(caught.value) == message
+    assert (batched.arr == f.array).all() and batched.certificate().moves == ()
 
 
 def _raster_moves(f, g):
