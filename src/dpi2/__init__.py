@@ -26,7 +26,6 @@ from .gridmap import (
     from_array,
     inverse,
     map_compose,
-    paste,
     product,
     subdivide,
     trivial_extend,
@@ -39,20 +38,15 @@ from .degree import (
     triangle_count,
     triangulate,
 )
-from .homotopy import (
+from .verify import (
     Certificate,
     SpiderMove,
     VerifyResult,
-    apply_spider,
-    decompose_one_step,
-    doubling_trace,
-    flood,
     identity_certificate,
-    one_step_check,
     spider_valid,
-    translate_trace,
     verify_certificate,
 )
+from .homotopy import apply_spider, decompose_one_step, doubling_trace, flood
 from .normalize import (
     Island,
     cancel_certificate,
@@ -123,9 +117,7 @@ __all__ = [
     "load_map",
     "make_sphere",
     "map_compose",
-    "one_step_check",
     "oriented_triangles",
-    "paste",
     "pi2_class",
     "product",
     "render_ascii",
@@ -133,7 +125,6 @@ __all__ = [
     "render_svg",
     "spider_valid",
     "subdivide",
-    "translate_trace",
     "triangle_count",
     "triangulate",
     "trivial_extend",

@@ -23,10 +23,11 @@ from .formats import (
 )
 from .generate import gen_random
 from .gridmap import apply_alpha, apply_beta, inverse, product, subdivide, trivial_extend
-from .homotopy import flood, verify_certificate
+from .homotopy import flood
 from .normalize import pi2_class
 from .oracle import Equivalent, SearchBudget, homotopy_decide
 from .render import RenderSpec, render_map
+from .verify import verify_certificate
 
 # The most grid cells one map or normalization frame may take, and the most
 # states the oracle may keep (each holds a whole padded grid).  A flag asking

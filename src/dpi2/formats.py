@@ -21,8 +21,8 @@ import numpy as np
 
 from .grid import DigitalImage, Rectangle, grid_fault
 from .gridmap import GridMap, from_array
-from .homotopy import Certificate, PackedMoves
 from .sphere import make_sphere
+from .verify import Certificate, PackedMoves
 
 
 class ParseError(ValueError):

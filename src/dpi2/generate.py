@@ -13,8 +13,9 @@ import random
 
 from .grid import Rectangle
 from .gridmap import GridMap
-from .homotopy import SpiderMove, apply_spider, spider_valid
+from .homotopy import apply_spider
 from .normalize import canonical_stack
+from .verify import SpiderMove, spider_valid
 
 _MAX_TRIES = 10_000
 

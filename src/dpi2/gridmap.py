@@ -207,33 +207,6 @@ def inverse(f: GridMap) -> GridMap:
     return from_array(f.array[:, ::-1], f.codomain, f.basepoint)
 
 
-def paste(f: GridMap, region: SubRect, g: GridMap) -> GridMap:
-    """Replace the region of f by g (their shapes must agree).
-
-    Requires f to be basepoint-valued on the region's own border ring, and
-    g (whose domain is congruent to the region) is boundary-pinned by
-    construction, so the seam is seamless.
-    """
-    if not region.within(f.rect):
-        raise ValueError(f"{region} does not fit in I_{{{f.rect.m},{f.rect.n}}}")
-    if g.rect.width != region.width or g.rect.height != region.height:
-        raise ValueError(
-            f"pasted map I_{{{g.rect.m},{g.rect.n}}} does not match "
-            f"{region.width}x{region.height} region"
-        )
-    if f.codomain != g.codomain or f.basepoint != g.basepoint:
-        raise ValueError("paste requires the same codomain and basepoint")
-    sub = f.array[region.b_lo : region.b_hi + 1, region.a_lo : region.a_hi + 1]
-    ring = np.ones_like(sub, dtype=bool)
-    if ring.shape[0] > 2 and ring.shape[1] > 2:
-        ring[1:-1, 1:-1] = False
-    if (sub[ring] != f.basepoint).any():
-        raise ValueError("paste region border must be basepoint-valued in f")
-    out = np.array(f.array)
-    out[region.b_lo : region.b_hi + 1, region.a_lo : region.a_hi + 1] = g.array
-    return from_array(out, f.codomain, f.basepoint)
-
-
 def border_wrap(f: GridMap, x1: int) -> GridMap:
     """Surround f with a one-cell border of x1 and rebase the map at x1.
 

@@ -1,11 +1,10 @@
-"""Spider moves, one-step homotopies, floods, and homotopy certificates.
+"""Spider moves, one-step homotopies, floods, and the certificate builders.
 
-Every homotopy this library claims is witnessed by a Certificate: a start
-map, an ordered list of single-cell relabelings (spider moves), and an end
-map, all over one common rectangle.  A move is valid when the new label is
-adjacent to the old one and to the labels of all eight surrounding cells;
-the verifier replays the moves and accepts only if every step is valid and
-the replay lands exactly on the recorded end map.
+The builders record every homotopy as a Certificate (see ``verify``): a
+start map, an ordered list of single-cell relabelings (spider moves), and an
+end map, all over one common rectangle.  Each rewrite is checked as it is
+emitted, and ``verify_certificate`` checks the result again without any of
+this module's code.
 
 The builders here never shrink a domain.  Enlarging one is always sound:
 interior cells keep exactly the same neighborhoods, so recorded moves stay
@@ -14,234 +13,15 @@ valid verbatim on any larger rectangle.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import Rectangle, DigitalImage, grid_fault
-from .gridmap import GridMap, SubRect, _unchecked, apply_alpha, from_array, trivial_extend
+from .gridmap import GridMap, SubRect, _unchecked, apply_alpha, from_array
 
-# The eight neighbor offsets of a cell, as (da, db).
-_OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
-
-
-@dataclass(frozen=True)
-class SpiderMove:
-    """Relabel the single cell ``at`` (= (a, b)) to ``new_value``."""
-
-    at: tuple[int, int]
-    new_value: int
-
-
-class PackedMoves(Sequence):
-    """A certificate's moves, packed as three read-only int64 arrays.
-
-    ``a``, ``b`` and ``label`` hold each move's cell and new label, 24 bytes
-    per move.  The sequence reads like a tuple of SpiderMoves: ``len``,
-    indexing, slicing and iteration build them on demand, and it compares
-    equal to a tuple or list of the same moves.  Coordinates are not
-    required to lie in any rectangle; the verifier rejects those that do not.
-    """
-
-    __slots__ = ("_abl",)
-
-    def __init__(self, a=(), b=(), label=()):
-        try:
-            abl = np.array((a, b, label), dtype=np.int64)
-        except OverflowError:
-            raise ValueError("move coordinates and labels must fit in int64") from None
-        abl.setflags(write=False)
-        self._abl = abl
-
-    @classmethod
-    def of(cls, moves) -> "PackedMoves":
-        """Pack an iterable of SpiderMoves (a PackedMoves is returned as is)."""
-        if isinstance(moves, PackedMoves):
-            return moves
-        moves = list(moves)
-        return cls(
-            [mv.at[0] for mv in moves],
-            [mv.at[1] for mv in moves],
-            [mv.new_value for mv in moves],
-        )
-
-    @classmethod
-    def join(cls, parts) -> "PackedMoves":
-        """The moves of each part in turn, copied once into new arrays."""
-        arrays = [p._abl for p in parts]
-        if not arrays:
-            return cls()
-        return cls._adopt(np.concatenate(arrays, axis=1))
-
-    @classmethod
-    def _adopt(cls, abl: np.ndarray) -> "PackedMoves":
-        """Wrap a (3, n) int64 array of a, b and label rows without a copy.
-
-        The array is made read-only; the caller keeps no writable view of it.
-        """
-        abl.setflags(write=False)
-        out = cls.__new__(cls)
-        out._abl = abl
-        return out
-
-    @property
-    def a(self) -> np.ndarray:
-        return self._abl[0]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self._abl[1]
-
-    @property
-    def label(self) -> np.ndarray:
-        return self._abl[2]
-
-    def __len__(self) -> int:
-        return self._abl.shape[1]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PackedMoves(*self._abl[:, i])
-        a, b, v = self._abl[:, i].tolist()
-        return SpiderMove((a, b), v)
-
-    def __iter__(self):
-        for a, b, v in zip(*self._abl.tolist()):
-            yield SpiderMove((a, b), v)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PackedMoves):
-            return np.array_equal(self._abl, other._abl)
-        if isinstance(other, (tuple, list)):
-            return len(other) == len(self) and all(x == y for x, y in zip(self, other))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))  # equal to a tuple of the same moves, so hash alike
-
-    def __repr__(self) -> str:
-        return f"PackedMoves(<{len(self)} moves>)"
-
-
-@dataclass(frozen=True)
-class VerifyResult:
-    """Outcome of certificate verification; falsy when rejected.
-
-    ``move_index`` is the index of the offending move when one exists.
-    """
-
-    ok: bool
-    reason: str | None = None
-    move_index: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """A replayable witness that ``start`` and ``end`` are homotopic.
-
-    Both endpoint maps live on ``common_rect``; maps on smaller rectangles
-    are trivially extended before a certificate is built, never truncated.
-    ``moves`` may be given as any iterable of SpiderMoves and is stored as
-    PackedMoves.
-    """
-
-    codomain: DigitalImage
-    basepoint: int
-    common_rect: Rectangle
-    start: GridMap
-    moves: PackedMoves
-    end: GridMap
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "moves", PackedMoves.of(self.moves))
-        for name, g in (("start", self.start), ("end", self.end)):
-            if g.rect != self.common_rect:
-                raise ValueError(f"{name} map is not on the common rectangle")
-            if g.codomain != self.codomain or g.basepoint != self.basepoint:
-                raise ValueError(f"{name} map disagrees on codomain/basepoint")
-
-    def __len__(self) -> int:
-        return len(self.moves)
-
-    def extended(self, m2: int, n2: int) -> "Certificate":
-        """The same certificate over a larger rectangle.
-
-        New cells are basepoint-valued sea and are not adjacent to any
-        interior cell of the original rectangle, so the moves carry over
-        unchanged.
-        """
-        if m2 == self.common_rect.m and n2 == self.common_rect.n:
-            return self
-        return Certificate(
-            codomain=self.codomain,
-            basepoint=self.basepoint,
-            common_rect=Rectangle(m2, n2),
-            start=trivial_extend(self.start, m2, n2),
-            moves=self.moves,
-            end=trivial_extend(self.end, m2, n2),
-        )
-
-    def then(self, other: "Certificate") -> "Certificate":
-        """Concatenate with a certificate that begins where this one ends."""
-        if self.codomain != other.codomain or self.basepoint != other.basepoint:
-            raise ValueError("cannot chain certificates across codomains")
-        m2 = max(self.common_rect.m, other.common_rect.m)
-        n2 = max(self.common_rect.n, other.common_rect.n)
-        a = self.extended(m2, n2)
-        b = other.extended(m2, n2)
-        if a.end.values != b.start.values:
-            raise ValueError("certificates do not meet: end of first != start of second")
-        return Certificate(
-            codomain=a.codomain,
-            basepoint=a.basepoint,
-            common_rect=a.common_rect,
-            start=a.start,
-            moves=PackedMoves.join([a.moves, b.moves]),
-            end=b.end,
-        )
-
-
-def identity_certificate(f: GridMap) -> Certificate:
-    """The empty certificate from f to itself."""
-    return Certificate(
-        codomain=f.codomain,
-        basepoint=f.basepoint,
-        common_rect=f.rect,
-        start=f,
-        moves=(),
-        end=f,
-    )
-
+# SpiderMove and verify_certificate are unused here; perfbench reads them from here.
+from .verify import Certificate, PackedMoves, SpiderMove, spider_valid, verify_certificate
 
 # ---------------------------------------------------------------------------
 # Single moves.
-
-
-def spider_valid(f: GridMap, mv: SpiderMove) -> bool:
-    """True iff the move keeps the map continuous: boundary cells never move."""
-    a, b = mv.at
-    m, n = f.rect.m, f.rect.n
-    if not (0 <= a <= m and 0 <= b <= n):
-        return False
-    if a in (0, m) or b in (0, n):
-        return False
-    v = mv.new_value
-    if not 0 <= v < len(f.codomain.points):
-        return False
-    masks = f.codomain.adjacency_masks
-    mask = masks[v]
-    w = f.rect.width
-    pos = b * w + a
-    if not (mask >> f.values[pos]) & 1:
-        return False
-    for da, db in _OFFSETS:
-        if not (mask >> f.values[pos + db * w + da]) & 1:
-            return False
-    return True
 
 
 def apply_spider(f: GridMap, mv: SpiderMove) -> GridMap:
@@ -285,15 +65,6 @@ def _one_step_ok(fa: np.ndarray, ga: np.ndarray, amat: np.ndarray) -> bool:
     return all(flat[x + y].all() for x, y in checks)
 
 
-def one_step_check(f: GridMap, g: GridMap) -> bool:
-    """True iff f and g satisfy the one-step homotopy criterion."""
-    if f.rect != g.rect:
-        raise ValueError("one-step check requires equal domains")
-    if f.codomain != g.codomain or f.basepoint != g.basepoint:
-        raise ValueError("one-step check requires equal codomain and basepoint")
-    return _one_step_ok(f.array, g.array, f.codomain.adjacency_matrix)
-
-
 def decompose_one_step(f: GridMap, g: GridMap) -> PackedMoves:
     """Split a one-step homotopy into single spider moves, raster order.
 
@@ -302,7 +73,11 @@ def decompose_one_step(f: GridMap, g: GridMap) -> PackedMoves:
     label combinations on an adjacent pair are adjacent by continuity of
     the endpoints plus the pairwise criterion.
     """
-    if not one_step_check(f, g):
+    if f.rect != g.rect:
+        raise ValueError("one-step check requires equal domains")
+    if f.codomain != g.codomain or f.basepoint != g.basepoint:
+        raise ValueError("one-step check requires equal codomain and basepoint")
+    if not _one_step_ok(f.array, g.array, f.codomain.adjacency_matrix):
         raise ValueError("maps are not one-step homotopic")
     bs, as_ = np.nonzero(f.array != g.array)
     return PackedMoves(as_, bs, g.array[bs, as_])
@@ -612,94 +387,3 @@ def _emit_translate(builder: "_TraceBuilder", r: SubRect, delta: tuple[int, int]
     expected[tgt.b_lo : tgt.b_hi + 1, tgt.a_lo : tgt.a_hi + 1] = block
     if not (builder.arr == expected).all():
         raise RuntimeError("translation walk did not land the block at its target")
-
-
-def translate_trace(f: GridMap, r: SubRect, delta: tuple[int, int]) -> Certificate:
-    """Slide the contents of subrectangle ``r`` by ``delta`` through sea.
-
-    Requires everything the block sweeps over (plus a one-cell margin) to
-    be basepoint-valued apart from the block itself, and the final position
-    to stay clear of the rectangle boundary.  Emitted as a chain of unit
-    shifts, each a column-copy (or row-copy) walk.
-    """
-    builder = _TraceBuilder(f)
-    _emit_translate(builder, r, delta)
-    return builder.certificate()
-
-
-# ---------------------------------------------------------------------------
-# Verification.
-
-
-_VERIFY_BLOCK = 8192  # moves per replay block; a block's lookups stay in cache
-
-
-def verify_certificate(c: Certificate) -> VerifyResult:
-    """Replay a certificate from scratch and accept only a perfect run.
-
-    Independent of the builder machinery: re-validates both endpoint grids
-    directly, then replays the moves in blocks of ``_VERIFY_BLOCK``.  In a
-    block, a move reads each of its nine cells from the block's last earlier
-    write there, else from the grid as the block began, and is legal iff its
-    new label is adjacent to all nine.  The block's earliest flagged move is
-    the earliest illegal one: every move before it was legal, so by
-    induction each read the state a move-by-move replay gives it.  A legal
-    block is applied by its last write to each cell.
-    """
-    rect = c.common_rect
-    w = rect.width
-    npts = len(c.codomain.points)
-    amat = c.codomain.adjacency_matrix
-    for name, g in (("start", c.start), ("end", c.end)):
-        if g.rect != rect:
-            return VerifyResult(False, f"{name} map not on common rectangle")
-        if g.codomain != c.codomain or g.basepoint != c.basepoint:
-            return VerifyResult(False, f"{name} map codomain/basepoint mismatch")
-        fault = grid_fault(g.array, c.basepoint, amat)
-        if fault is not None and len(fault) == 1:
-            return VerifyResult(False, f"{name} map boundary not pinned")
-        if fault is not None:
-            return VerifyResult(False, f"{name} map not continuous")
-
-    # The range checks run on the arrays up front; replay stops at the first
-    # move that fails them, and that move is reported if replay gets there.
-    a, b, v = c.moves.a, c.moves.b, c.moves.label
-    outside = (a <= 0) | (a >= rect.m) | (b <= 0) | (b >= rect.n)
-    rejected = outside | (v < 0) | (v >= npts)
-    stop = int(rejected.argmax()) if rejected.any() else len(rejected)
-    adjacent = amat.ravel()  # adjacent[new * npts + old]
-    offsets = [0] + [db * w + da for da, db in _OFFSETS]
-    grid = np.array(c.start.array).ravel()
-    for s in range(0, stop, _VERIFY_BLOCK):
-        n = min(_VERIFY_BLOCK, stop - s)
-        pos = b[s : s + n] * w + a[s : s + n]
-        order = np.argsort(pos, kind="stable")
-        spos, sval = pos[order], v[s : s + n][order]
-        key = spos * n + order  # ascending: by cell, then by move
-        row = sval * npts
-        oks = []  # per offset, the moves whose new label is adjacent there
-        for d in offsets:
-            j = np.searchsorted(key, key + d * n) - 1  # the last earlier write there
-            hit = (j >= 0) & (spos[j] == spos + d)
-            oks.append(adjacent[row + np.where(hit, sval[j], grid[spos + d])])
-        legal = np.logical_and.reduce(oks)
-        if not legal.all():
-            k = int(np.argmin(np.where(legal, n, order)))  # earliest in move order
-            idx = s + int(order[k])
-            at = (int(a[idx]), int(b[idx]))
-            what = "current value" if not oks[0][k] else "a neighbor"
-            return VerifyResult(
-                False, f"move {idx} at {at}: new value not adjacent to {what}", idx
-            )
-        last = np.append(spos[1:] != spos[:-1], True)
-        grid[spos[last]] = sval[last]
-    if stop < len(rejected):
-        at = (int(a[stop]), int(b[stop]))
-        if outside[stop]:
-            reason = f"move {stop} targets boundary or exterior cell {at}"
-        else:
-            reason = f"move {stop} value {int(v[stop])} outside codomain"
-        return VerifyResult(False, reason, stop)
-    if grid.tobytes() != c.end.values:
-        return VerifyResult(False, "replayed moves do not reach the end map")
-    return VerifyResult(True)

@@ -26,13 +26,9 @@ from .gridmap import (
     subdivide,
     trivial_extend,
 )
-from .homotopy import (
-    Certificate,
-    _TraceBuilder,
-    _emit_translate,
-    identity_certificate,
-)
+from .homotopy import _TraceBuilder, _emit_translate
 from .sphere import BASEPOINT, S2, antipode
+from .verify import Certificate, identity_certificate
 
 _E1 = antipode(BASEPOINT)  # the label opposite the basepoint (index 0)
 _SEA = BASEPOINT

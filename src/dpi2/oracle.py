@@ -22,7 +22,14 @@ import numpy as np
 
 from .grid import DigitalImage, Rectangle
 from .gridmap import GridMap, trivial_extend
-from .homotopy import Certificate, PackedMoves, identity_certificate
+from .verify import (
+    Certificate,
+    PackedMoves,
+    allowed_array,
+    identity_certificate,
+    mask_array,
+    nine_offsets,
+)
 
 
 @dataclass(frozen=True)
@@ -61,10 +68,10 @@ def _expander(
 ) -> Callable[[list[bytes]], Iterator[tuple[list[bytes], list[int], list[bytes]]]]:
     """Return a function that lists the children of a list of states.
 
-    A child is a state one spider move away.  Label v may go to interior cell
-    p iff v is adjacent to the current labels of p and its eight neighbours:
-    the bitmask rule of `spider_valid` and the verifier.  The current label is
-    left out, so a child differs from its parent in exactly one cell.
+    A child is a state one spider move away: label v goes to interior cell
+    p where ``allowed_array`` allows it over p's nine labels, v being other
+    than p's current label, so a child differs from its parent in exactly
+    one cell.
 
     The states are taken in chunks.  For each chunk the function yields the
     chunk, the index in it of each child's parent, and the children: by
@@ -74,15 +81,11 @@ def _expander(
     cells = np.array(
         [b * w + a for b in range(1, rect.n) for a in range(1, rect.m)], dtype=np.intp
     )
-    offsets = np.array([-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1], dtype=np.intp)
-    # around[k, i]: flat index of interior cell i's k-th neighbour.
-    around = cells[None, :] + offsets[:, None]
-    masks = codomain.adjacency_masks
-    dtype = np.min_scalar_type(max(masks))
-    mask_arr = np.array(masks, dtype=dtype)
-    # The labels a cell labelled v may take: adjacent to v, v itself excepted.
-    others = np.array([m & ~(1 << v) for v, m in enumerate(masks)], dtype=dtype)
-    shifts = np.arange(len(masks), dtype=dtype)
+    # around[k, i]: flat index of interior cell i's k-th cell of nine, i itself first.
+    around = cells[None, :] + np.array(nine_offsets(w), dtype=np.intp)[:, None]
+    mask_arr = mask_array(codomain.adjacency_masks)
+    # Label indices in the masks' dtype, so that shifting a mask by them stays in it.
+    labels = np.arange(len(mask_arr)).astype(mask_arr.dtype)
     size = rect.width * rect.height
 
     def expand(
@@ -91,9 +94,12 @@ def _expander(
         for lo in range(0, len(states), _CHUNK):
             chunk = states[lo : lo + _CHUNK]
             arr = np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(-1, size)
-            allowed = np.bitwise_and.reduce(mask_arr[arr[:, around]], axis=1)
-            allowed &= others[arr[:, cells]]
-            parent, cell, label = np.nonzero((allowed[:, :, None] >> shifts) & 1)
+            # arr.T[around] stacks the nine labels outermost, cells then states
+            # inside, so the rule's reduce runs over whole contiguous slabs.
+            allowed = allowed_array(mask_arr, arr.T[around]).T[:, :, None]
+            parent, cell, label = np.nonzero(
+                allowed >> labels & (labels != arr[:, cells, None])
+            )
             kids = arr[parent]
             kids[np.arange(len(parent)), cells[cell]] = label
             flat = kids.tobytes()

@@ -26,6 +26,9 @@ REMOVED = (
     "load_image",
     "token_of_index",
     "index_of_token",
+    "paste",
+    "one_step_check",
+    "translate_trace",
 )
 
 

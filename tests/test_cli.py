@@ -7,7 +7,7 @@ import pytest
 
 import dpi2 as d
 import dpi2.cli as cli
-from dpi2 import homotopy
+from dpi2 import verify
 
 from conftest import grid, T_TEXT
 
@@ -102,14 +102,14 @@ def test_verify_flags_tampering(capsys, tmp_path, tmap):
 def test_verify_names_the_line_of_a_bad_move_past_the_first_block(capsys, tmp_path):
     # Sea cells go to e2 and back; one move back, in the second block, goes
     # to -e2 instead.
-    n = homotopy._VERIFY_BLOCK + 500
+    n = verify._VERIFY_BLOCK + 500
     k = np.arange(n // 2)
     a, b = np.repeat(1 + k % 5, 2), np.repeat(1 + k // 5 % 5, 2)
     label = np.tile([1, d.BASEPOINT], n // 2)
     bad = n - 101
     label[bad] = 4
     sea = d.constant_map(d.Rectangle(6, 6), d.S2, d.BASEPOINT)
-    cert = dataclasses.replace(d.identity_certificate(sea), moves=homotopy.PackedMoves(a, b, label))
+    cert = dataclasses.replace(d.identity_certificate(sea), moves=verify.PackedMoves(a, b, label))
     cert_path = tmp_path / "t.dcert"
     doc = d.dump_certificate(cert)
     cert_path.write_text(doc)

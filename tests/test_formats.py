@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dpi2 as d
-from dpi2 import ParseError, homotopy
+from dpi2 import ParseError, verify
 from dpi2.formats import TokenTable
 
 from conftest import DATA, grid, T_TEXT
@@ -242,7 +242,7 @@ def _toggle_certificate(n_pairs: int) -> d.Certificate:
     k = np.arange(n_pairs)
     a, b = np.repeat(1 + k % 19, 2), np.repeat(1 + k // 19 % 19, 2)
     label = np.tile([1, d.BASEPOINT], n_pairs)
-    moves = homotopy.PackedMoves(a, b, label)
+    moves = verify.PackedMoves(a, b, label)
     return dataclasses.replace(d.identity_certificate(sea), moves=moves)
 
 

@@ -159,27 +159,6 @@ def test_inverse_is_the_mirror(T, T_inv):
     assert d.triangle_count(d.inverse(T)) == -1
 
 
-def test_paste_identity_and_constant(T):
-    # pasting a map over its own full footprint changes nothing
-    assert d.paste(T, d.SubRect(0, 4, 0, 4), T).values == T.values
-    c = const(6, 6)
-    cpatch = const(2, 2)
-    assert d.paste(c, d.SubRect(2, 4, 2, 4), cpatch).values == c.values
-
-
-def test_paste_island_into_sea(T):
-    sea = const(10, 10)
-    g = d.paste(sea, d.SubRect(4, 8, 4, 8), T)
-    assert d.triangle_count(g) == 1
-    assert len(d.find_islands(g)) == 1
-
-
-def test_paste_region_border_must_be_sea(T):
-    # T's values at the 3x3 window around the center are not basepoint
-    with pytest.raises(ValueError):
-        d.paste(T, d.SubRect(1, 3, 1, 3), const(2, 2))
-
-
 def test_border_wrap_shapes_and_values(T):
     g = d.border_wrap(const(2, 2), 1)  # ring of e2 around the old map
     assert g.rect == d.Rectangle(4, 4)

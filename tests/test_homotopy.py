@@ -4,13 +4,28 @@ import numpy as np
 import pytest
 
 import dpi2 as d
-from dpi2 import homotopy
+from dpi2 import homotopy, verify
 
 from conftest import DATA, grid
 
 
 def sea(m, n):
     return d.constant_map(d.Rectangle(m, n), d.S2, d.BASEPOINT)
+
+
+def placed(base, *pieces):
+    """``base`` with each (a, b, g) of ``pieces`` written over it from (a, b)."""
+    arr = np.array(base.array)
+    for a, b, g in pieces:
+        arr[b : b + g.rect.height, a : a + g.rect.width] = g.array
+    return d.from_array(arr, base.codomain, base.basepoint)
+
+
+def translate(f, r, delta):
+    """The certificate of sliding block ``r`` of f by ``delta``, as normalize builds it."""
+    builder = homotopy._TraceBuilder(f)
+    homotopy._emit_translate(builder, r, delta)
+    return builder.certificate()
 
 
 # ---------------------------------------------------------------------------
@@ -96,22 +111,23 @@ def test_corner_moves_reach_the_four_value_form():
 
 
 def test_one_step_reflexive(T):
-    assert d.one_step_check(T, T)
+    assert d.decompose_one_step(T, T) == ()
 
 
 def test_one_step_after_single_move(T):
     g = d.apply_spider(T, d.SpiderMove((1, 1), 1))
-    assert d.one_step_check(T, g)
-    assert d.one_step_check(g, T)
+    assert d.decompose_one_step(T, g) == [d.SpiderMove((1, 1), 1)]
+    assert d.decompose_one_step(g, T) == [d.SpiderMove((1, 1), 2)]
 
 
 def test_generator_not_one_step_from_constant(T):
-    assert not d.one_step_check(T, sea(4, 4))
+    with pytest.raises(ValueError, match="not one-step homotopic"):
+        d.decompose_one_step(T, sea(4, 4))
 
 
 def test_one_step_requires_equal_frames(T):
-    with pytest.raises(ValueError):
-        d.one_step_check(T, sea(5, 5))
+    with pytest.raises(ValueError, match="equal domains"):
+        d.decompose_one_step(T, sea(5, 5))
 
 
 def test_decompose_one_step(T):
@@ -141,7 +157,7 @@ def test_flood_golden_pair():
     expected = d.load_map((DATA / "flood_expected.dmap").read_text())
     out, moves = d.flood(before, d.BASEPOINT)
     assert out.values == expected.values
-    assert moves and d.one_step_check(before, out)
+    assert moves and d.decompose_one_step(before, out) == moves
 
 
 def test_flood_blocked_by_antipode_everywhere():
@@ -244,15 +260,15 @@ def test_doubling_trace_full_chain(T):
 
 def test_translate_trace_zero_delta(T):
     big = d.trivial_extend(T, 8, 8)
-    cert = d.translate_trace(big, d.SubRect(1, 3, 1, 3), (0, 0))
+    cert = translate(big, d.SubRect(1, 3, 1, 3), (0, 0))
     assert cert.moves == () and d.verify_certificate(cert).ok
 
 
 def test_translate_trace_slide_right(T):
-    f = d.paste(sea(12, 8), d.SubRect(0, 4, 0, 4), T)
-    cert = d.translate_trace(f, d.SubRect(1, 3, 1, 3), (3, 0))
+    f = placed(sea(12, 8), (0, 0, T))
+    cert = translate(f, d.SubRect(1, 3, 1, 3), (3, 0))
     assert d.verify_certificate(cert).ok
-    expected = d.paste(sea(12, 8), d.SubRect(3, 7, 0, 4), T)
+    expected = placed(sea(12, 8), (3, 0, T))
     assert cert.end.values == expected.values
 
 
@@ -273,16 +289,15 @@ def test_doubling_trace_invariant_raises_on_corrupt_result(T, monkeypatch):
 
 
 def test_translate_trace_invariant_raises_when_the_walk_misfires(T, monkeypatch):
-    f = d.paste(sea(12, 8), d.SubRect(0, 4, 0, 4), T)
+    f = placed(sea(12, 8), (0, 0, T))
     monkeypatch.setattr(homotopy._TraceBuilder, "shift", lambda self, *a, **k: None)
     with pytest.raises(RuntimeError, match="translation walk"):
-        d.translate_trace(f, d.SubRect(1, 3, 1, 3), (3, 0))
+        translate(f, d.SubRect(1, 3, 1, 3), (3, 0))
 
 
 def test_translate_trace_swaps_two_blocks(T, T_inv):
     base = sea(12, 10)
-    f = d.paste(base, d.SubRect(0, 4, 0, 4), T)
-    f = d.paste(f, d.SubRect(4, 8, 0, 4), T_inv)
+    f = placed(base, (0, 0, T), (4, 0, T_inv))
     blk_a, blk_b = d.SubRect(1, 3, 1, 3), d.SubRect(5, 7, 1, 3)
     parts = []
     cur = f
@@ -292,27 +307,25 @@ def test_translate_trace_swaps_two_blocks(T, T_inv):
         (blk_a.shifted(0, 5), (4, 0)),
         (blk_a.shifted(4, 5), (0, -5)),
     ]:
-        cert = d.translate_trace(cur, r, delta)
+        cert = translate(cur, r, delta)
         parts.append(cert)
         cur = cert.end
     whole = functools.reduce(d.Certificate.then, parts)
     assert d.verify_certificate(whole).ok
-    swapped = d.paste(base, d.SubRect(0, 4, 0, 4), T_inv)
-    swapped = d.paste(swapped, d.SubRect(4, 8, 0, 4), T)
+    swapped = placed(base, (0, 0, T_inv), (4, 0, T))
     assert whole.end.values == swapped.values
 
 
 def test_translate_trace_rejects_collisions(T, T_inv):
-    f = d.paste(sea(12, 10), d.SubRect(0, 4, 0, 4), T)
-    f = d.paste(f, d.SubRect(4, 8, 0, 4), T_inv)
+    f = placed(sea(12, 10), (0, 0, T), (4, 0, T_inv))
     with pytest.raises(ValueError):
-        d.translate_trace(f, d.SubRect(1, 3, 1, 3), (4, 0))  # lands on the mirror
+        translate(f, d.SubRect(1, 3, 1, 3), (4, 0))  # lands on the mirror
 
 
 def test_translate_trace_rejects_leaving_interior(T):
     f = d.trivial_extend(T, 8, 8)
     with pytest.raises(ValueError):
-        d.translate_trace(f, d.SubRect(1, 3, 1, 3), (5, 0))
+        translate(f, d.SubRect(1, 3, 1, 3), (5, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +405,6 @@ def test_certificate_moves_read_like_a_tuple_of_spider_moves(T):
     assert cert.moves[-3] == moves[-3]
     assert cert.moves[1:4] == moves[1:4] and cert.moves[::-2] == moves[::-2]
     assert [mv for mv in cert.moves] == list(moves)
-    assert hash(cert.moves) == hash(moves)
     with pytest.raises(IndexError):
         cert.moves[len(moves)]
     with pytest.raises(ValueError):
@@ -500,7 +512,7 @@ def _rejection(cert):
 def test_verifier_sees_the_last_write_of_the_previous_block(monkeypatch):
     # Blocks of two moves: (1, 1) goes to e3 and then to e2, and in the next
     # block -e2 next to it clashes with the e2.
-    monkeypatch.setattr(homotopy, "_VERIFY_BLOCK", 2)
+    monkeypatch.setattr(verify, "_VERIFY_BLOCK", 2)
     valid = (d.SpiderMove((1, 1), 2), d.SpiderMove((1, 1), 1))
     assert _rejection(_certificate(sea(4, 4), valid, [d.SpiderMove((2, 2), 4)])) == (
         "move 2 at (2, 2): new value not adjacent to a neighbor", 2)
@@ -515,7 +527,7 @@ def test_verifier_names_the_earliest_bad_move_not_the_first_bad_cell():
 
 
 @pytest.mark.parametrize("written", [False, True], ids=["in-start-map", "written"])
-@pytest.mark.parametrize("offset", homotopy._OFFSETS, ids=lambda o: f"{o[0]},{o[1]}")
+@pytest.mark.parametrize("offset", verify._OFFSETS, ids=lambda o: f"{o[0]},{o[1]}")
 def test_verifier_checks_each_neighbor_alone(offset, written):
     # The e2 at (2, 2) is the only label -e2 clashes with, whether the start
     # map holds it or an earlier move of the block wrote it.

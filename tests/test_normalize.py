@@ -110,9 +110,9 @@ def island_map(ring):
 
 
 def test_find_islands_locates_centers(T):
-    sea = d.constant_map(d.Rectangle(10, 10), d.S2, d.BASEPOINT)
-    g = d.paste(sea, d.SubRect(0, 4, 0, 4), T)
-    g = d.paste(g, d.SubRect(5, 9, 5, 9), T)
+    arr = d.constant_map(d.Rectangle(10, 10), d.S2, d.BASEPOINT).array.copy()
+    arr[0:5, 0:5] = arr[5:10, 5:10] = T.array
+    g = d.from_array(arr, d.S2, d.BASEPOINT)
     islands = d.find_islands(g)
     assert sorted(i.center for i in islands) == [(2, 2), (7, 7)]
     for i in islands:

@@ -5,6 +5,7 @@ hand-sized and the expected outcomes (including exact shortest-path move
 counts) were frozen after independent runs.
 """
 
+import numpy as np
 import pytest
 
 import dpi2 as d
@@ -225,8 +226,10 @@ def test_state_cap_is_shared_by_both_searches():
 
 
 def test_children_are_exactly_the_valid_spider_moves(monkeypatch):
-    # the search's expansion and spider_valid must agree on every move, with
-    # children by parent, then cells in raster order, then labels ascending
+    # the search's expansion must list every legal move, and only those, with
+    # children by parent, then cells in raster order, then labels ascending;
+    # a move is legal iff the adjacency matrix makes its new label adjacent to
+    # each of the nine cells around it
     monkeypatch.setattr(oracle, "_CHUNK", 7)  # several chunks per call
     states = 0
     for m, n in ((5, 4), (5, 5)):  # 6x5 and 6x6 point pads
@@ -234,14 +237,17 @@ def test_children_are_exactly_the_valid_spider_moves(monkeypatch):
             d.gen_random(seed, m, n, moves=seed * 3, plant=seed % 3 - 1)
             for seed in range(30)
         ]
+        amat = d.S2.adjacency_matrix
         want = []
         for f in maps:
             for b in range(1, n):
                 for a in range(1, m):
+                    nine = f.array[b - 1 : b + 2, a - 1 : a + 2]
                     for v in range(len(d.S2.points)):
-                        mv = d.SpiderMove((a, b), v)
-                        if v != f.value_at(a, b) and d.spider_valid(f, mv):
-                            want.append((f.values, d.apply_spider(f, mv).values))
+                        if v != f.value_at(a, b) and amat[v, nine].all():
+                            child = np.array(f.array)
+                            child[b, a] = v
+                            want.append((f.values, child.tobytes()))
         expand = oracle._expander(d.Rectangle(m, n), d.S2)
         got = [
             (chunk[k], child)
