@@ -182,7 +182,7 @@ def _check_grid(
     rows: list[tuple[int, str]],
 ) -> None:
     """Raise the grid's first boundary or continuity fault at its source."""
-    fault = grid_fault(arr, basepoint, table.codomain.adjacency_matrix)
+    fault = grid_fault(arr, basepoint, table.codomain)
     if fault is None:
         return
     tokens = table.tokens

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import random
 
-from .grid import Rectangle
+from .grid import Rectangle, allowed
 from .gridmap import GridMap
-from .homotopy import apply_spider
 from .normalize import canonical_stack
-from .verify import SpiderMove, spider_valid
 
 _MAX_TRIES = 10_000
 
@@ -37,21 +35,23 @@ def gen_random(seed: int, m: int, n: int, moves: int = 0, plant: int = 0) -> Gri
         raise ValueError("scrambling needs at least one interior cell")
     rng = random.Random(seed)
     g = canonical_stack(plant, Rectangle(m, n))
-    npts = len(g.codomain.points)
+    masks = g.codomain.adjacency_masks
+    npts, w = len(masks), m + 1
+    vals = bytearray(g.values)
     for _ in range(moves):
         for _attempt in range(_MAX_TRIES):
             a = rng.randrange(1, m)
             b = rng.randrange(1, n)
-            cur = g.value_at(a, b)
+            p = b * w + a
             v = rng.randrange(npts - 1)
-            if v >= cur:
+            if v >= vals[p]:
                 v += 1
-            mv = SpiderMove((a, b), v)
-            if spider_valid(g, mv):
-                g = apply_spider(g, mv)
+            nine = vals[p - w - 1 : p - w + 2] + vals[p - 1 : p + 2] + vals[p + w - 1 : p + w + 2]
+            if allowed(masks, nine) >> v & 1:
+                vals[p] = v
                 break
         else:
             raise RuntimeError(
                 f"no valid spider move found in {_MAX_TRIES} samples"
             )
-    return g
+    return GridMap(g.rect, g.codomain, g.basepoint, bytes(vals))

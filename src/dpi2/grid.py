@@ -1,4 +1,4 @@
-"""Points, rectangles, adjacency relations, and continuity checking.
+"""Points, rectangles, adjacency relations, and the one adjacency rule.
 
 A digital image is a finite set of lattice points together with a reflexive,
 symmetric adjacency relation.  Two adjacency flavors are supported:
@@ -10,13 +10,22 @@ symmetric adjacency relation.  Two adjacency flavors are supported:
 
 Rectangles ``I_{m,n} = {0..m} x {0..n}`` always carry the 8-adjacency,
 which is the categorical product of the 1-D adjacencies.
+
+Continuity, a one-step homotopy and a spider move are one relation read
+over different grids: f(x) ~ g(x') for every x ~ x'.  Bit v of
+``adjacency_masks[x]`` is set iff v ~ x, so label v may sit at a cell iff
+bit v is set in the AND of the masks of the labels that constrain it: the
+cell's own and its neighbours'.  ``allowed`` is that rule for one cell,
+``allowed_array`` for many cells' stacked labels and ``allowed_grid`` for
+every cell of a label grid.  Every check of labels on a grid reads one of
+them; only the point-map checks of ``gridmap`` read ``adjacency_matrix``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -172,24 +181,57 @@ class Rectangle:
         return self.n + 1
 
 
-# --- continuity checking -------------------------------------------------
-#
-# A value grid (row-major, arr[b, a]) is continuous when every 8-adjacent
-# pair of cells carries adjacent values.  The check slides the grid against
-# itself along the four "later" neighbour offsets (da, db) of a cell, in the
-# order a raster scan meets them; symmetry covers the other four, and
-# reflexivity is free.
+# --- the adjacency rule ---------------------------------------------------
+
+
+def allowed(masks: Sequence[int], nine) -> int:
+    """The labels a cell may take, as a bitmask.
+
+    ``nine`` holds the labels of the cell and its eight neighbours, as any
+    iterable of ints (a bytes slice included).
+    """
+    out = -1
+    for x in nine:
+        out &= masks[x]
+    return out
+
+
+def mask_array(masks: Sequence[int]) -> np.ndarray:
+    """The masks as the smallest numpy integer type that holds them.
+
+    Above 64 points no numpy integer does, and the array holds Python ints.
+    """
+    return np.array(masks, dtype=np.min_scalar_type(max(masks)))
+
+
+def allowed_array(mask_arr: np.ndarray, labels: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``allowed`` for many cells: their nine labels run along ``axis``."""
+    # take() gathers by uint8 labels about 3x faster than mask_arr[labels].
+    return np.bitwise_and.reduce(mask_arr.take(labels), axis=axis)
+
+
+def allowed_grid(mask_arr: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """``allowed`` at every cell of a label grid, over the neighbours it has."""
+    m = mask_arr.take(arr)
+    rows = m.copy()  # each cell ANDed with its left and right neighbours
+    rows[:, 1:] &= m[:, :-1]
+    rows[:, :-1] &= m[:, 1:]
+    out = rows.copy()  # then with the rows above and below
+    out[1:] &= rows[:-1]
+    out[:-1] &= rows[1:]
+    return out
 
 
 def grid_fault(
-    arr: np.ndarray, basepoint: int, adjacency_matrix: np.ndarray
+    arr: np.ndarray, basepoint: int, codomain: DigitalImage
 ) -> tuple[tuple[int, int], ...] | None:
     """The first fault of a based, continuous value grid, or None.
 
     ``((a, b),)`` names the first boundary cell, in raster order, that does
     not carry the basepoint.  Failing that, ``((a, b), (a2, b2))`` names the
     first 8-adjacent pair with non-adjacent values: the first cell (a, b) in
-    raster order that has one, paired with its first such later neighbour.
+    raster order that has one, paired with its first such later neighbour
+    in the order (1, 0), (-1, 1), (0, 1), (1, 1).
     """
     off = arr != basepoint
     off[1:-1, 1:-1] = False  # only boundary cells must carry the basepoint
@@ -197,15 +239,16 @@ def grid_fault(
         # argmax on the flat mask finds the first hit in b-then-a order.
         b, a = divmod(int(off.argmax()), arr.shape[1])
         return ((a, b),)
-    h, w = arr.shape
-    faults = []
-    for i, (da, db) in enumerate(((1, 0), (-1, 1), (0, 1), (1, 1))):
-        lo, hi = max(0, -da), w - max(0, da)  # the columns a with a + da inside
-        ok = adjacency_matrix[arr[: h - db, lo:hi], arr[db:, lo + da : hi + da]]
-        if not ok.all():  # argmin finds the first non-adjacent pair in raster order
-            b, a = divmod(int(ok.argmin()), hi - lo)
-            faults.append((b, a + lo, i, da, db))
-    if not faults:
+    masks = codomain.adjacency_masks
+    bad = (allowed_grid(mask_array(masks), arr) >> arr & 1) == 0
+    if not bad.any():
         return None
-    b, a, _, da, db = min(faults)  # the first cell, then its first direction
-    return (a, b), (a + da, b + db)
+    # The first forbidden cell has a non-adjacent later neighbour: an earlier
+    # one would itself be forbidden, and first.
+    h, w = arr.shape
+    b, a = divmod(int(bad.argmax()), w)
+    own = masks[arr[b, a]]
+    for a2, b2 in ((a + 1, b), (a - 1, b + 1), (a, b + 1), (a + 1, b + 1)):
+        if 0 <= a2 < w and b2 < h and not own >> int(arr[b2, a2]) & 1:
+            return (a, b), (a2, b2)
+    raise RuntimeError(f"forbidden cell {(a, b)} has no non-adjacent later neighbour")

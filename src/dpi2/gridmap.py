@@ -55,7 +55,7 @@ class GridMap:
         arr = self.array
         if arr.size and arr.max() >= npts:
             raise ValueError("value grid references a point outside the codomain")
-        fault = grid_fault(arr, self.basepoint, self.codomain.adjacency_matrix)
+        fault = grid_fault(arr, self.basepoint, self.codomain)
         if fault is not None and len(fault) == 1:
             raise ValueError("boundary values must all equal the basepoint")
         if fault is not None:

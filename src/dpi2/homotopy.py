@@ -6,6 +6,11 @@ end map, all over one common rectangle.  Each rewrite is checked as it is
 emitted, and ``verify_certificate`` checks the result again without any of
 this module's code.
 
+Every check here is ``grid``'s adjacency rule.  f to g is a one-step
+homotopy iff each cell's g-label is allowed among the f-labels around it
+(``allowed_grid`` over f); a line copy checks the same rule on the few
+cells that can see the copy.
+
 The builders here never shrink a domain.  Enlarging one is always sound:
 interior cells keep exactly the same neighborhoods, so recorded moves stay
 valid verbatim on any larger rectangle.
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid import allowed_grid, mask_array
 from .gridmap import GridMap, SubRect, _unchecked, apply_alpha, from_array
 
 # SpiderMove and verify_certificate are unused here; perfbench reads them from here.
@@ -42,42 +48,21 @@ def apply_spider(f: GridMap, mv: SpiderMove) -> GridMap:
 # One-step homotopies.
 
 
-def _one_step_ok(fa: np.ndarray, ga: np.ndarray, amat: np.ndarray) -> bool:
-    """The pairwise criterion f(x) ~ g(x') for all x ~ x' on one window.
-
-    Covers x = x' and the four unordered direction classes, each checked in
-    both (f, g) role orders.  Pairs are looked up in the flattened adjacency
-    matrix at f * size + g.
-    """
-    flat = amat.ravel()
-    fa = fa.astype(np.intp) * amat.shape[1]
-    checks = (
-        (fa, ga),
-        (fa[:, :-1], ga[:, 1:]),
-        (fa[:, 1:], ga[:, :-1]),
-        (fa[:-1, :], ga[1:, :]),
-        (fa[1:, :], ga[:-1, :]),
-        (fa[:-1, :-1], ga[1:, 1:]),
-        (fa[1:, 1:], ga[:-1, :-1]),
-        (fa[1:, :-1], ga[:-1, 1:]),
-        (fa[:-1, 1:], ga[1:, :-1]),
-    )
-    return all(flat[x + y].all() for x, y in checks)
-
-
 def decompose_one_step(f: GridMap, g: GridMap) -> PackedMoves:
     """Split a one-step homotopy into single spider moves, raster order.
 
     Every prefix of the returned moves keeps the map continuous: any
     intermediate cell holds either its f- or its g-label, and all four
     label combinations on an adjacent pair are adjacent by continuity of
-    the endpoints plus the pairwise criterion.
+    the endpoints plus the one-step rule: every g-label is allowed among
+    the f-labels around it.
     """
     if f.rect != g.rect:
         raise ValueError("one-step check requires equal domains")
     if f.codomain != g.codomain or f.basepoint != g.basepoint:
         raise ValueError("one-step check requires equal codomain and basepoint")
-    if not _one_step_ok(f.array, g.array, f.codomain.adjacency_matrix):
+    masks = mask_array(f.codomain.adjacency_masks)
+    if not (allowed_grid(masks, f.array) >> g.array & 1).all():
         raise ValueError("maps are not one-step homotopic")
     bs, as_ = np.nonzero(f.array != g.array)
     return PackedMoves(as_, bs, g.array[bs, as_])
@@ -117,10 +102,11 @@ class _TraceBuilder:
     """Accumulates spider moves while mutating a working copy of a map.
 
     All emission is made of one-step rewrites, recorded as the changed cells
-    in raster order.  ``one_step`` takes one window and checks the pairwise
-    criterion on it grown by one cell (cells further out cannot see the
-    change); ``shift`` takes a whole walk of line copies at once and checks
-    each copy by the line-copy rule.  Moves are kept as a list of
+    in raster order.  ``one_step`` takes one window and checks the rule on
+    it grown by one cell (cells further out cannot see the change): each
+    new label must be allowed among the old labels and among the new ones
+    around it.  ``shift`` takes a whole walk of line copies at once and
+    checks each copy by the line-copy rule.  Moves are kept as a list of
     PackedMoves, joined once into the certificate.
 
     The grid is continuous at all times, which the line-copy rule assumes:
@@ -138,9 +124,8 @@ class _TraceBuilder:
         self._chunks: list[PackedMoves] = []
         # Cells beyond the rectangle get a wildcard label, one past the
         # codomain's, adjacent to every label.
-        npts = len(self.codomain.points)
-        self._amat = np.ones((npts + 1, npts + 1), dtype=bool)
-        self._amat[:npts, :npts] = self.codomain.adjacency_matrix
+        masks = self.codomain.adjacency_masks
+        self._masks = mask_array(masks + ((1 << len(masks)) - 1,))
         # The grid as a GridMap, kept from the last flood until it changes.
         self._map: GridMap | None = None
 
@@ -159,8 +144,9 @@ class _TraceBuilder:
             window.b_lo - gb0 : window.b_hi - gb0 + 1,
             window.a_lo - ga0 : window.a_hi - ga0 + 1,
         ] = new_block
-        amat = self._amat
-        if not (_one_step_ok(sub_f, sub_g, amat) and _one_step_ok(sub_g, sub_g, amat)):
+        # f(x) ~ g(x') for every x ~ x', and the rewritten window continuous.
+        both = allowed_grid(self._masks, sub_f) & allowed_grid(self._masks, sub_g)
+        if not (both >> sub_g & 1).all():
             raise ValueError(f"window rewrite at {window} is not a one-step homotopy")
         cur = self.arr[
             window.b_lo : window.b_hi + 1, window.a_lo : window.a_hi + 1
@@ -262,14 +248,13 @@ class _TraceBuilder:
         # Per step, the span of the new line j - step and of line j before it.
         new = region[1:-1, held(walk - step, t) - l0].T
         changed = new != region[1:-1, held(walk, t) - l0].T
-        amat, ahead = self._amat, walk + step - l0
-        ok = amat[new[:, 0], region[0, ahead]] & amat[new[:, -1], region[-1, ahead]]
+        masks, ahead = self._masks, walk + step - l0
+        ends = masks.take(region[[0, -1]][:, ahead]) >> new[:, [0, -1]].T
+        ok = (ends[0] & ends[1] & 1).astype(bool)
         # No earlier walk has reached a walk's first line j + step.
         starts = np.arange(0, len(walk), len(one))
-        fresh, line = new[starts], region[:, ahead[starts]].T
-        ok[starts] &= (
-            amat[fresh, line[:, :-2]] & amat[fresh, line[:, 1:-1]] & amat[fresh, line[:, 2:]]
-        ).all(axis=1)
+        fresh, line = new[starts], masks.take(region[:, ahead[starts]].T)
+        ok[starts] &= ((line[:, :-2] & line[:, 1:-1] & line[:, 2:]) >> fresh & 1).all(axis=1)
         across = np.arange(s0, s1 + 1)
         edge = changed & (
             ((walk == 0) | (walk == last_l))[:, None]
@@ -325,14 +310,10 @@ def doubling_trace(f: GridMap, from_i: int, to_i: int) -> Certificate:
         raise ValueError(
             f"need 0 <= to_i <= from_i <= {f.rect.m}, got {from_i}..{to_i}"
         )
-    cur = apply_alpha(f, from_i)
-    builder = _TraceBuilder(cur)
-    for i in range(from_i, to_i, -1):
-        nxt = apply_alpha(f, i - 1)
-        # The two doublings differ exactly in column i.
-        builder.one_step(
-            SubRect(i, i, 0, f.rect.n), nxt.array[:, i : i + 1]
-        )
+    builder = _TraceBuilder(apply_alpha(f, from_i))
+    # Column i takes column i - 1 for i = from_i down to to_i + 1.
+    if to_i < from_i:
+        builder.shift("a", to_i + 1, from_i, 1)
     cert = builder.certificate()
     if cert.end.values != apply_alpha(f, to_i).values:
         raise RuntimeError("doubling trace did not end at the target doubling")

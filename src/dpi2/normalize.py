@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degree import degree_minus_one_map, degree_one_map, triangle_count
-from .grid import Rectangle
+from .grid import Rectangle, allowed_grid, mask_array
 from .gridmap import (
     GridMap,
     SubRect,
@@ -55,18 +55,18 @@ class Island:
         object.__setattr__(self, "ring", tuple(int(v) for v in self.ring))
         if len(self.ring) != 8:
             raise ValueError("island ring must list exactly eight labels")
-        amat = S2.adjacency_matrix
         for v in self.ring:
             if not 0 <= v < 6:
                 raise ValueError(f"ring label {v} outside the sphere")
             if v in (_E1, _SEA):
                 raise ValueError("ring labels may not be the poles (+-e1)")
-        for i in range(8):
-            if not amat[self.ring[i], self.ring[(i + 1) % 8]]:
-                raise ValueError("consecutive ring labels are not adjacent")
-        for i in (0, 2, 4, 6):
-            if not amat[self.ring[i], self.ring[(i + 2) % 8]]:
-                raise ValueError("ring labels across a corner are not adjacent")
+        # e1 touches every ring label, so the ring is fine iff the 3x3 block
+        # around the island is continuous.
+        block = np.full((3, 3), _E1, dtype=np.uint8)
+        for (da, db), v in zip(_RING, self.ring):
+            block[1 + db, 1 + da] = v
+        if not (allowed_grid(mask_array(S2.adjacency_masks), block) >> block & 1).all():
+            raise ValueError("ring labels on adjacent cells are not adjacent")
 
 
 def canonical_stack(c: int, rect: Rectangle) -> GridMap:

@@ -20,16 +20,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .grid import DigitalImage, Rectangle
+from .grid import DigitalImage, Rectangle, allowed_array, mask_array
 from .gridmap import GridMap, trivial_extend
-from .verify import (
-    Certificate,
-    PackedMoves,
-    allowed_array,
-    identity_certificate,
-    mask_array,
-    nine_offsets,
-)
+from .verify import Certificate, PackedMoves, identity_certificate, nine_offsets
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Certificates, the one rule for a legal spider move, and their verifier.
+"""Certificates, legal spider moves, and their verifier.
 
 A Certificate is a start map, an ordered list of single-cell relabelings
 (spider moves) and an end map, all over one common rectangle.  The verifier
@@ -6,11 +6,9 @@ replays the moves and accepts only if every step is legal and the replay
 lands exactly on the end map.  This module imports none of the builders.
 
 A move is legal when it relabels an interior cell to a label adjacent to
-the cell's nine labels: its own and its eight neighbours'.  Bit v of
-``adjacency_masks[x]`` is set iff v ~ x, so label v is legal iff bit v is
-set in the AND of the nine labels' masks.  ``allowed`` takes one cell's
-nine labels as Python ints, ``allowed_array`` many cells' stacked in an
-array; the single-move check, the verifier and the oracle all use them.
+the cell's nine labels: its own and its eight neighbours'.  That is the
+adjacency rule of ``grid``: ``spider_valid`` reads it as ``allowed`` on one
+cell's nine labels, the verifier as ``allowed_array`` on a block of moves'.
 """
 
 from __future__ import annotations
@@ -20,43 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DigitalImage, Rectangle, grid_fault
+from .grid import DigitalImage, Rectangle, allowed, allowed_array, grid_fault, mask_array
 from .gridmap import GridMap, trivial_extend
 
 # The eight neighbor offsets of a cell, as (da, db).
 _OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
 
 _VERIFY_BLOCK = 8192  # moves per replay block; a block's lookups stay in cache
-
-
-# ---------------------------------------------------------------------------
-# The legality rule.
-
-
-def allowed(masks: Sequence[int], nine) -> int:
-    """The labels a cell may take, as a bitmask.
-
-    ``nine`` holds the labels of the cell and its eight neighbours, as any
-    iterable of ints (a bytes slice included).
-    """
-    out = -1
-    for x in nine:
-        out &= masks[x]
-    return out
-
-
-def mask_array(masks: Sequence[int]) -> np.ndarray:
-    """The masks as the smallest numpy integer type that holds them.
-
-    Above 64 points no numpy integer does, and the array holds Python ints.
-    """
-    return np.array(masks, dtype=np.min_scalar_type(max(masks)))
-
-
-def allowed_array(mask_arr: np.ndarray, labels: np.ndarray, axis: int = 0) -> np.ndarray:
-    """``allowed`` for many cells: their nine labels run along ``axis``."""
-    # take() gathers by uint8 labels about 3x faster than mask_arr[labels].
-    return np.bitwise_and.reduce(mask_arr.take(labels), axis=axis)
 
 
 def nine_offsets(w: int) -> list[int]:
@@ -287,13 +255,12 @@ def verify_certificate(c: Certificate) -> VerifyResult:
     rect = c.common_rect
     w = rect.width
     npts = len(c.codomain.points)
-    amat = c.codomain.adjacency_matrix
     for name, g in (("start", c.start), ("end", c.end)):
         if g.rect != rect:
             return VerifyResult(False, f"{name} map not on common rectangle")
         if g.codomain != c.codomain or g.basepoint != c.basepoint:
             return VerifyResult(False, f"{name} map codomain/basepoint mismatch")
-        fault = grid_fault(g.array, c.basepoint, amat)
+        fault = grid_fault(g.array, c.basepoint, c.codomain)
         if fault is not None and len(fault) == 1:
             return VerifyResult(False, f"{name} map boundary not pinned")
         if fault is not None:

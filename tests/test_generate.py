@@ -24,7 +24,7 @@ def test_planted_degree_survives_noise():
         size = max(5 * abs(plant) - 1, 5)
         f = d.gen_random(seed, size, size + 1, moves=60, plant=plant)
         assert d.triangle_count(f) == plant
-        assert grid_fault(f.array, f.basepoint, f.codomain.adjacency_matrix) is None
+        assert grid_fault(f.array, f.basepoint, f.codomain) is None
 
 
 def test_determinism_is_byte_exact():
@@ -49,7 +49,7 @@ def test_seeded_maps_keep_their_bytes(args, digest):
     # when each scrambled map was re-validated after every move.
     f = d.gen_random(*args)
     assert hashlib.sha256(f.values).hexdigest() == digest
-    assert grid_fault(f.array, f.basepoint, f.codomain.adjacency_matrix) is None
+    assert grid_fault(f.array, f.basepoint, f.codomain) is None
 
 
 def test_noise_prefix_property():

@@ -46,7 +46,7 @@ def _named_boundary(m, n):
         for a in range(m + 1):
             arr = np.full((n + 1, m + 1), d.BASEPOINT, dtype=np.uint8)
             arr[b, a] = 1
-            fault = grid_fault(arr, d.BASEPOINT, AMAT)
+            fault = grid_fault(arr, d.BASEPOINT, d.S2)
             if fault is not None:
                 assert fault == ((a, b),)
                 named.add((a, b))
@@ -78,7 +78,7 @@ def test_antipodal_neighbors_are_discontinuous():
     arr = np.full((5, 5), 3, dtype=np.uint8)
     arr[2, 1] = 1
     arr[2, 2] = 4
-    where = grid_fault(arr, d.BASEPOINT, AMAT)
+    where = grid_fault(arr, d.BASEPOINT, d.S2)
     assert where is not None
     (a1, b1), (a2, b2) = where
     assert {arr[b1, a1], arr[b2, a2]} == {1, 4}
@@ -90,7 +90,7 @@ def test_continuity_matches_brute_force():
     for _ in range(60):
         arr = np.full((5, 6), 3, dtype=np.uint8)
         arr[1:-1, 1:-1] = rng.integers(0, 6, size=(3, 4))
-        fast = grid_fault(arr, d.BASEPOINT, AMAT) is None
+        fast = grid_fault(arr, d.BASEPOINT, d.S2) is None
         slow = brute_force_continuous(arr, d.S2)
         assert fast is slow
         hits += fast
@@ -126,7 +126,7 @@ def test_grid_fault_names_the_first_fault_in_raster_order():
         arr.flat[cells] = rng.integers(0, 6, size=len(cells))
         if rng.random() < 0.7:  # most grids keep their boundary at the basepoint
             arr[[0, -1], :] = arr[:, [0, -1]] = d.BASEPOINT
-        fault = grid_fault(arr, d.BASEPOINT, AMAT)
+        fault = grid_fault(arr, d.BASEPOINT, d.S2)
         assert fault == _raster_fault(arr, d.BASEPOINT, AMAT), arr
         kinds[fault if fault is None else len(fault)] += 1
     assert min(kinds.values()) > 100  # valid grids, boundary and pair faults

@@ -12,7 +12,7 @@ def const(m, n):
 def test_single_cell_constant():
     f = const(0, 0)
     assert f.values == bytes([d.BASEPOINT])
-    assert grid_fault(f.array, f.basepoint, f.codomain.adjacency_matrix) is None
+    assert grid_fault(f.array, f.basepoint, f.codomain) is None
     assert d.triangle_count(f) == 0
 
 
@@ -101,7 +101,7 @@ def test_apply_alpha_duplicates_column(T):
         assert (ga[:, i + 1] == ta[:, i]).all()
         assert (ga[:, : i + 1] == ta[:, : i + 1]).all()
         assert (ga[:, i + 2 :] == ta[:, i + 1 :]).all()
-        assert grid_fault(g.array, g.basepoint, g.codomain.adjacency_matrix) is None
+        assert grid_fault(g.array, g.basepoint, g.codomain) is None
 
 
 def test_apply_alpha_on_constant():
@@ -166,7 +166,7 @@ def test_border_wrap_shapes_and_values(T):
     ga = g.array
     assert (ga[1:-1, 1:-1] == 3).all()  # the old constant fills the inside
     assert (ga[0, :] == 1).all() and (ga[:, -1] == 1).all()
-    assert grid_fault(g.array, g.basepoint, g.codomain.adjacency_matrix) is None
+    assert grid_fault(g.array, g.basepoint, g.codomain) is None
     assert d.border_wrap(T, 1).rect == d.Rectangle(6, 6)
 
 
@@ -179,7 +179,7 @@ def test_border_wrap_random_property():
     for seed in range(8):
         f = d.gen_random(seed, 5, 4, moves=10)
         g = d.border_wrap(f, 2)
-        assert grid_fault(g.array, g.basepoint, g.codomain.adjacency_matrix) is None
+        assert grid_fault(g.array, g.basepoint, g.codomain) is None
         assert d.triangle_count(g) == d.triangle_count(f)
 
 

@@ -1,4 +1,5 @@
 import functools
+import random
 
 import numpy as np
 import pytest
@@ -223,6 +224,19 @@ def test_one_step_rejects_a_rewrite_that_breaks_continuity():
     assert builder.certificate().moves == ()
 
 
+def test_shift_checks_a_walks_first_step_against_the_diagonal_cells_ahead():
+    # Column 3 takes column 2, whose e2 at row 3 would land diagonally next
+    # to a -e2 in column 4; only the lookups at c - 1 or c + 1 of the line
+    # ahead see it.
+    for row in (2, 4):
+        arr = np.full((8, 8), d.BASEPOINT, np.uint8)
+        arr[3, 2], arr[2:5, 3], arr[row, 4] = 1, 2, 4
+        builder = homotopy._TraceBuilder(d.from_array(arr, d.S2, d.BASEPOINT))
+        with pytest.raises(ValueError, match="not a one-step homotopy"):
+            builder.shift("a", 3, 3, 1)
+        assert (builder.arr == arr).all() and builder.certificate().moves == ()
+
+
 def test_builder_map_is_kept_from_a_flood_until_the_grid_changes(T):
     builder = homotopy._TraceBuilder(d.trivial_extend(T, 6, 6))
     builder.flood(1)
@@ -238,6 +252,43 @@ def test_builder_map_is_kept_from_a_flood_until_the_grid_changes(T):
     builder.spider(a, b, v)
     now = builder.current_map()
     assert now.values == builder.arr.tobytes() and now.value_at(a, b) == v
+
+
+def _one_step_by_pairs(f, g):
+    """The pairwise criterion: f(x) ~ g(x') for every x ~ x', x = x' included."""
+    amat = f.codomain.adjacency_matrix
+    fa, ga = f.array, g.array
+    h, w = fa.shape
+    return all(
+        amat[fa[b, a], ga[b2, a2]]
+        for b in range(h)
+        for a in range(w)
+        for b2 in range(max(b - 1, 0), min(b + 2, h))
+        for a2 in range(max(a - 1, 0), min(a + 2, w))
+    )
+
+
+def test_decompose_one_step_accepts_exactly_the_pairwise_criterion():
+    # gen_random replays the same move stream, so g is f walked a few
+    # moves further: often one step away, sometimes not.
+    rng = random.Random(17)
+    verdicts = {True: 0, False: 0}
+    for _ in range(3000):
+        seed, m, n = rng.randrange(10**6), rng.randint(2, 5), rng.randint(2, 5)
+        k = rng.randint(0, 8)
+        f = d.gen_random(seed, m, n, moves=k)
+        g = d.gen_random(seed, m, n, moves=k + rng.randint(1, 12))
+        want = _one_step_by_pairs(f, g)
+        try:
+            moves = d.decompose_one_step(f, g)
+            assert len(moves) == int((f.array != g.array).sum())
+            got = True
+        except ValueError as e:
+            assert str(e) == "maps are not one-step homotopic"
+            got = False
+        assert got == want, (seed, m, n, k)
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 500
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +329,14 @@ def test_doubling_trace_invariant_raises_on_corrupt_result(T, monkeypatch):
 
     def alpha(f, i):
         calls.append(i)
-        # Calls 1-5 build the walk 4 -> 0; call 6 is the end-state check,
-        # which now sees a different doubling than the one the walk reached.
-        return real(f, i + 1 if len(calls) == 6 else i)
+        # Call 1 builds the start of the walk 4 -> 0; call 2 is the end-state
+        # check, which now sees a different doubling than the one the walk reached.
+        return real(f, i + 1 if len(calls) == 2 else i)
 
     monkeypatch.setattr(homotopy, "apply_alpha", alpha)
     with pytest.raises(RuntimeError, match="doubling trace"):
         d.doubling_trace(T, 4, 0)
-    assert len(calls) == 6
+    assert len(calls) == 2
 
 
 def test_translate_trace_invariant_raises_when_the_walk_misfires(T, monkeypatch):

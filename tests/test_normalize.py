@@ -1,6 +1,7 @@
 """Normal form pipeline: island isolation, classification, reduction."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -221,6 +222,25 @@ def test_island_ring_validation():
         d.Island((2, 2), (1, 2, 4, 2, 1, 2, 4, 2))
 
 
+def test_island_ring_check_matches_the_twelve_pair_checks():
+    # The reference: consecutive ring cells are 8-adjacent, and so are the
+    # edge cells on either side of a corner (E and N, N and W, ...).
+    amat = d.S2.adjacency_matrix
+    verdicts = {True: 0, False: 0}
+    for ring in itertools.product((1, 2, 4, 5), repeat=8):
+        want = all(amat[ring[i], ring[(i + 1) % 8]] for i in range(8)) and all(
+            amat[ring[i], ring[(i + 2) % 8]] for i in (0, 2, 4, 6)
+        )
+        try:
+            d.Island((2, 2), ring)
+            got = True
+        except ValueError:
+            got = False
+        assert got == want, ring
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 1000
+
+
 def test_classify_matches_triangle_count_on_random_islands():
     import random
 
@@ -364,14 +384,15 @@ def test_i20_anchor_certificate_text_is_unchanged():
 
 def test_pi2_class_shift_walks_make_no_window_check(monkeypatch):
     # On the I_40 anchor the walks make 13,280 line copies; each is checked by
-    # the line-copy rule, so every window check comes from a lone rewrite.
-    kernel, shift = homotopy._one_step_ok, homotopy._TraceBuilder.shift
+    # the line-copy rule, so every window check comes from a lone rewrite or
+    # a flood.
+    kernel, shift = homotopy.allowed_grid, homotopy._TraceBuilder.shift
     windows, walking = [], []
 
-    def counted(fa, ga, amat):
-        assert not walking and fa.ndim == ga.ndim == 2
-        windows.append(fa.shape)
-        return kernel(fa, ga, amat)
+    def counted(mask_arr, arr):
+        assert not walking and arr.ndim == 2
+        windows.append(arr.shape)
+        return kernel(mask_arr, arr)
 
     def walk(self, *args, **kwargs):
         walking.append(True)
@@ -380,7 +401,7 @@ def test_pi2_class_shift_walks_make_no_window_check(monkeypatch):
         finally:
             walking.pop()
 
-    monkeypatch.setattr(homotopy, "_one_step_ok", counted)
+    monkeypatch.setattr(homotopy, "allowed_grid", counted)
     monkeypatch.setattr(homotopy._TraceBuilder, "shift", walk)
     c, cert = d.pi2_class(d.gen_random(5, 40, 40, 200, 4))
     assert (c, len(cert.moves)) == (4, 322_224)

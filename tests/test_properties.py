@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 import dpi2 as d
 from dpi2 import verify
 from dpi2.formats import _scan_moves
-from dpi2.grid import grid_fault
 from dpi2.homotopy import _TraceBuilder
 from dpi2.normalize import _emit_subdivision
 
-from conftest import grid
+from conftest import brute_force_continuous, grid
 
 LABELS = range(len(d.S2.points))
 
@@ -420,14 +419,17 @@ def _move_by_move(cert):
     """verify_certificate's verdict, from a replay one move at a time.
 
     A move is legal iff the adjacency matrix makes its new label adjacent to
-    each of the nine cells around it, the cell itself included.
+    each of the nine cells around it, the cell itself included.  Endpoints
+    are checked cell by cell, their boundary first.
     """
     amat = cert.codomain.adjacency_matrix
     for name, g in (("start", cert.start), ("end", cert.end)):
-        fault = grid_fault(g.array, g.basepoint, amat)
-        if fault is not None:
-            what = "boundary not pinned" if len(fault) == 1 else "not continuous"
-            return False, f"{name} map {what}", None
+        arr = g.array
+        rim = np.concatenate([arr[0], arr[-1], arr[:, 0], arr[:, -1]])
+        if (rim != g.basepoint).any():
+            return False, f"{name} map boundary not pinned", None
+        if not brute_force_continuous(arr, g.codomain):
+            return False, f"{name} map not continuous", None
     cur, rect = np.array(cert.start.array), cert.common_rect
     for i, mv in enumerate(cert.moves):
         (a, b), v = mv.at, mv.new_value

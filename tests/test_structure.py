@@ -1,5 +1,6 @@
-"""Structural guarantees: the verifier stands alone, its one legality rule
-holds on every codomain size, and invariants are never bare asserts."""
+"""Structural guarantees: the verifier stands alone, the one adjacency rule
+holds on every codomain size and is the only reader of adjacency on grids,
+and invariants are never bare asserts."""
 
 import ast
 import itertools
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import dpi2 as d
-from dpi2 import verify
+from dpi2 import grid, verify
 
 SRC = pathlib.Path(d.__file__).parent
 
@@ -43,6 +44,55 @@ def test_both_forms_of_the_rule_agree_with_the_adjacency_matrix(n):
     for nine, got in zip(nines.tolist(), array_form.tolist()):
         want = sum(1 << v for v in range(len(masks)) if amat[v, nine].all())
         assert verify.allowed(masks, nine) == got == want, nine
+
+
+def _allowed_by_matrix(arr, amat):
+    """Per cell, the labels adjacent to every label of its 3x3 block cut to
+    the grid, as a bitmask read off the adjacency matrix."""
+    h, w = arr.shape
+    return [
+        [
+            sum(
+                1 << v
+                for v in range(len(amat))
+                if amat[v, arr[max(b - 1, 0) : b + 2, max(a - 1, 0) : a + 2]].all()
+            )
+            for a in range(w)
+        ]
+        for b in range(h)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 40])
+def test_allowed_grid_agrees_with_a_per_cell_brute_force(n):
+    # S40's masks are Python ints in an object array.
+    sphere = d.make_sphere(n)
+    amat = sphere.adjacency_matrix
+    mask_arr = grid.mask_array(sphere.adjacency_masks)
+    rng = np.random.default_rng(n)
+    for _ in range(60):
+        h, w = rng.integers(1, 6, size=2)
+        # Few distinct labels per grid, so that cells often allow some.
+        labels = rng.choice(len(amat), size=rng.integers(1, 4), replace=False)
+        arr = rng.choice(labels, size=(h, w)).astype(np.uint8)
+        want = _allowed_by_matrix(arr, amat)
+        assert grid.allowed_grid(mask_arr, arr).tolist() == want, arr
+
+
+def test_only_grid_and_two_gridmap_functions_read_the_adjacency_matrix():
+    # Everything else decides adjacency by the rule over adjacency_masks.
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "adjacency_matrix") or (
+                    isinstance(node, ast.Constant) and node.value == "adjacency_matrix"
+                ):
+                    readers.add((path.name, getattr(top, "name", "<module>")))
+    assert {r for r in readers if r[0] != "grid.py"} == {
+        ("gridmap.py", "border_wrap"),
+        ("gridmap.py", "map_compose"),
+    }
 
 
 # The 40-sphere has 82 points: its masks fit no numpy integer type.
