@@ -31,12 +31,9 @@ from .gridmap import (
     trivial_extend,
 )
 from .degree import (
-    OrientedTriangle,
     degree_minus_one_map,
     degree_one_map,
-    oriented_triangles,
     triangle_count,
-    triangulate,
 )
 from .verify import (
     Certificate,
@@ -78,7 +75,6 @@ __all__ = [
     "GridMap",
     "Island",
     "LatticeCq",
-    "OrientedTriangle",
     "ParseError",
     "Rectangle",
     "RenderSpec",
@@ -117,7 +113,6 @@ __all__ = [
     "load_map",
     "make_sphere",
     "map_compose",
-    "oriented_triangles",
     "pi2_class",
     "product",
     "render_ascii",
@@ -126,7 +121,6 @@ __all__ = [
     "spider_valid",
     "subdivide",
     "triangle_count",
-    "triangulate",
     "trivial_extend",
     "verify_certificate",
 ]

@@ -146,26 +146,45 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _op_product(f, other: str):
+    return product(f, load_map(_read(other)))
+
+
+def _op_subdivide(f, k: int):
+    side = max(k, 0)
+    _check_budget("op subdivide k", side * f.rect.width * side * f.rect.height, "cells")
+    return subdivide(f, k)
+
+
+def _op_extend(f, m: int, n: int):
+    _check_budget("op extend m/n", max(m + 1, 0) * max(n + 1, 0), "cells")
+    return trivial_extend(f, m, n)
+
+
+def _op_flood(f, token: str):
+    label = TokenTable(f.codomain).index(token)
+    if label is None:
+        raise ParseError(f"unknown label token {token!r}")
+    return flood(f, label)[0]
+
+
+# Each `op` command: its help, the (name, type) of each argument after the
+# map, and the operation, called on the map and those arguments.
+_OPS = {
+    "product": ("side-by-side product of two maps", (("other", str),), _op_product),
+    "inverse": ("mirror a map horizontally", (), inverse),
+    "subdivide": ("repeat every cell k times per axis", (("k", int),), _op_subdivide),
+    "extend": ("trivially extend to I_{m,n}", (("m", int), ("n", int)), _op_extend),
+    "alpha": ("double column i", (("i", int),), apply_alpha),
+    "beta": ("double row j", (("j", int),), apply_beta),
+    "flood": ("flood by a label", (("label", str),), _op_flood),
+}
+
+
 def _cmd_op(args) -> int:
     f = load_map(_read(args.map))
-    if args.operation == "product":
-        g = load_map(_read(args.other))
-        out = product(f, g)
-    elif args.operation == "inverse":
-        out = inverse(f)
-    elif args.operation == "subdivide":
-        out = subdivide(f, args.k)
-    elif args.operation == "extend":
-        out = trivial_extend(f, args.m, args.n)
-    elif args.operation == "alpha":
-        out = apply_alpha(f, args.i)
-    elif args.operation == "beta":
-        out = apply_beta(f, args.j)
-    else:  # flood
-        label = TokenTable(f.codomain).index(args.label)
-        if label is None:
-            raise ParseError(f"unknown label token {args.label!r}")
-        out, _ = flood(f, label)
+    _, arguments, operation = _OPS[args.operation]
+    out = operation(f, *(getattr(args, name) for name, _ in arguments))
     _emit(dump_map(out), args.output)
     return 0
 
@@ -226,49 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("op", help="apply a map operation")
+    p.set_defaults(func=_cmd_op)
     op_sub = p.add_subparsers(dest="operation", required=True)
-
-    q = op_sub.add_parser("product", help="side-by-side product of two maps")
-    q.add_argument("map")
-    q.add_argument("other")
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=_cmd_op)
-
-    q = op_sub.add_parser("inverse", help="mirror a map horizontally")
-    q.add_argument("map")
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=_cmd_op)
-
-    q = op_sub.add_parser("subdivide", help="repeat every cell k times per axis")
-    q.add_argument("map")
-    q.add_argument("k", type=int)
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=_cmd_op)
-
-    q = op_sub.add_parser("extend", help="trivially extend to I_{m,n}")
-    q.add_argument("map")
-    q.add_argument("m", type=int)
-    q.add_argument("n", type=int)
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=_cmd_op)
-
-    q = op_sub.add_parser("alpha", help="double column i")
-    q.add_argument("map")
-    q.add_argument("i", type=int)
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=_cmd_op)
-
-    q = op_sub.add_parser("beta", help="double row j")
-    q.add_argument("map")
-    q.add_argument("j", type=int)
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=_cmd_op)
-
-    q = op_sub.add_parser("flood", help="flood by a label")
-    q.add_argument("map")
-    q.add_argument("label")
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=_cmd_op)
+    for name, (help_text, arguments, _) in _OPS.items():
+        q = op_sub.add_parser(name, help=help_text)
+        q.add_argument("map")
+        for arg, kind in arguments:
+            q.add_argument(arg, type=kind)
+        q.add_argument("-o", "--output")
 
     return parser
 
@@ -289,13 +273,7 @@ def run(argv=None) -> int:
     except _OverBudget as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:  # a ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,77 +11,37 @@ signed preimage count of the positive octant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .sphere import S2
 
 # _LOOKUP[i, j, k] is the contribution of a CCW triangle labeled (i, j, k).
-# Only triangles whose label set is exactly {e1, e2, e3} count; the sign is
-# the determinant of the corresponding unit vectors, i.e. +1 for cyclic
-# rotations of (e1, e2, e3) and -1 for cyclic rotations of (e1, e3, e2).
+# Only triangles whose label set is exactly {e1, e2, e3} (labels 0, 1, 2)
+# count; the sign is the determinant of the corresponding unit vectors, i.e.
+# +1 for cyclic rotations of (e1, e2, e3) and -1 for those of (e1, e3, e2).
 _LOOKUP = np.zeros((6, 6, 6), dtype=np.int8)
-for _i in range(6):
-    for _j in range(6):
-        for _k in range(6):
-            if {_i, _j, _k} != {0, 1, 2}:
-                continue
-            mat = np.array(
-                [S2.points[_i], S2.points[_j], S2.points[_k]], dtype=np.float64
-            )
-            _LOOKUP[_i, _j, _k] = int(round(np.linalg.det(mat)))
+for _r in range(3):
+    _LOOKUP[_r, (_r + 1) % 3, (_r + 2) % 3] = 1
+    _LOOKUP[_r, (_r + 2) % 3, (_r + 1) % 3] = -1
 _LOOKUP.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class OrientedTriangle:
-    """One CCW triangle of the standard domain triangulation."""
-
-    vertices: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-    orientation: int  # +1, -1, or 0 contribution of this triangle
-
-
-def triangulate(m: int, n: int) -> list[tuple[tuple[int, int], ...]]:
-    """CCW triangle vertex lists for I_{m,n}; empty if either side is 0."""
-    tris: list[tuple[tuple[int, int], ...]] = []
-    for b in range(n):
-        for a in range(m):
-            tris.append(((a, b), (a + 1, b), (a + 1, b + 1)))
-            tris.append(((a, b), (a + 1, b + 1), (a, b + 1)))
-    return tris
-
-
-def triangle_count(f) -> int:
-    """Signed count of (e1,e2,e3)-labeled triangles in the triangulation."""
+def _orientations(f) -> tuple[np.ndarray, np.ndarray]:
+    """Each unit square's lower and upper triangle contribution, indexed [b, a]."""
     if f.codomain != S2:
         raise ValueError("triangle counting is defined for sphere-valued maps")
     arr = f.array
-    if arr.shape[0] < 2 or arr.shape[1] < 2:
-        return 0
     p = arr[:-1, :-1]
     q = arr[:-1, 1:]
     r = arr[1:, 1:]
     s = arr[1:, :-1]
-    lower = _LOOKUP[p, q, r]
-    upper = _LOOKUP[p, r, s]
+    return _LOOKUP[p, q, r], _LOOKUP[p, r, s]
+
+
+def triangle_count(f) -> int:
+    """Signed count of (e1,e2,e3)-labeled triangles in the triangulation."""
+    lower, upper = _orientations(f)
     return int(lower.sum()) + int(upper.sum())
-
-
-def oriented_triangles(f) -> list[OrientedTriangle]:
-    """Per-triangle breakdown of triangle_count, mainly for rendering."""
-    if f.codomain != S2:
-        raise ValueError("triangle counting is defined for sphere-valued maps")
-    arr = f.array
-    out: list[OrientedTriangle] = []
-    for verts in triangulate(f.rect.m, f.rect.n):
-        labels = tuple(int(arr[b, a]) for (a, b) in verts)
-        out.append(
-            OrientedTriangle(
-                vertices=verts, orientation=int(_LOOKUP[labels])
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,18 @@ def _parse_kv(token: str, key: str, line: int) -> str:
     return token[len(key) + 1 :]
 
 
+def _parse_size(w_token: str, h_token: str, line: int) -> tuple[int, int]:
+    """The header's w=<m> h=<n>: two integers >= 0."""
+    w, h = _parse_kv(w_token, "w", line), _parse_kv(h_token, "h", line)
+    try:
+        m, n = int(w), int(h)
+    except ValueError:
+        raise ParseError("width/height must be integers", line) from None
+    if m < 0 or n < 0:
+        raise ParseError("width/height must be >= 0", line)
+    return m, n
+
+
 # ---------------------------------------------------------------------------
 # Label tokens.
 
@@ -252,13 +264,7 @@ def load_map(text: str, codomain: DigitalImage | None = None) -> GridMap:
             "expected header: dmap v1 w=<m> h=<n> codomain=<name> basepoint=<token>",
             lno,
         )
-    try:
-        m = int(_parse_kv(toks[2], "w", lno))
-        n = int(_parse_kv(toks[3], "h", lno))
-    except ValueError:
-        raise ParseError("width/height must be integers", lno) from None
-    if m < 0 or n < 0:
-        raise ParseError("width/height must be >= 0", lno)
+    m, n = _parse_size(toks[2], toks[3], lno)
     cod = _resolve_codomain(_parse_kv(toks[4], "codomain", lno), codomain, lno)
     bp_token = _parse_kv(toks[5], "basepoint", lno)
     if bp_token == ".":
@@ -516,13 +522,7 @@ def load_certificate(
             "expected header: dcert v1 codomain=<name> w=<m> h=<n>", lno
         )
     cod = _resolve_codomain(_parse_kv(toks[2], "codomain", lno), codomain, lno)
-    try:
-        m = int(_parse_kv(toks[3], "w", lno))
-        n = int(_parse_kv(toks[4], "h", lno))
-    except ValueError:
-        raise ParseError("width/height must be integers", lno) from None
-    if m < 0 or n < 0:
-        raise ParseError("width/height must be >= 0", lno)
+    m, n = _parse_size(toks[3], toks[4], lno)
 
     table = TokenTable(cod)
     # A grid needs n + 1 lines, more than the text has when n > len(text).

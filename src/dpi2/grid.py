@@ -103,13 +103,6 @@ class DigitalImage:
                 if not (0 <= i < npts and 0 <= j < npts):
                     raise ValueError(f"edge ({i},{j}) references a missing point")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.points[0])
-
-    def __len__(self) -> int:
-        return len(self.points)
-
     @cached_property
     def point_index(self) -> dict[Point, int]:
         return {p: i for i, p in enumerate(self.points)}

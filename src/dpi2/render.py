@@ -11,7 +11,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .degree import oriented_triangles
+import numpy as np
+
+from .degree import _orientations
 from .formats import TokenTable
 from .gridmap import GridMap
 
@@ -19,6 +21,12 @@ from .gridmap import GridMap
 _ANSI = ("\x1b[31m", "\x1b[32m", "\x1b[34m", "\x1b[90m", "\x1b[92m", "\x1b[96m")
 _RESET = "\x1b[0m"
 _FILLS = ("#d62728", "#2ca02c", "#1f77b4", "#d9d9d9", "#98df8a", "#9edae5")
+# The overlay style of a triangle by its contribution to the degree.
+_TRIANGLE_STYLES = {
+    1: 'fill="#2ca02c" fill-opacity="0.45" stroke="#000" stroke-width="0.5"',
+    -1: 'fill="#d62728" fill-opacity="0.45" stroke="#000" stroke-width="0.5"',
+    0: 'fill="none" stroke="#888" stroke-dasharray="2,2" stroke-width="0.5"',
+}
 
 
 @dataclass(frozen=True)
@@ -79,18 +87,16 @@ def render_svg(f: GridMap, spec: RenderSpec) -> str:
                 f"<title>({a},{b}) {names[idx]}</title></rect>"
             )
     if spec.show_triangulation:
-        for tri in oriented_triangles(f):
-            pts = " ".join(
-                f"{(a + 0.5) * s:g},{(f.rect.n - b + 0.5) * s:g}"
-                for a, b in tri.vertices
-            )
-            if tri.orientation > 0:
-                style = 'fill="#2ca02c" fill-opacity="0.45" stroke="#000"'
-            elif tri.orientation < 0:
-                style = 'fill="#d62728" fill-opacity="0.45" stroke="#000"'
-            else:
-                style = 'fill="none" stroke="#888" stroke-dasharray="2,2"'
-            out.append(f'<polygon points="{pts}" {style} stroke-width="0.5"/>')
+        lower, upper = _orientations(f)
+        for (b, a), low in np.ndenumerate(lower):
+            for verts, sign in (
+                (((a, b), (a + 1, b), (a + 1, b + 1)), low),
+                (((a, b), (a + 1, b + 1), (a, b + 1)), upper[b, a]),
+            ):
+                pts = " ".join(
+                    f"{(x + 0.5) * s:g},{(f.rect.n - y + 0.5) * s:g}" for x, y in verts
+                )
+                out.append(f'<polygon points="{pts}" {_TRIANGLE_STYLES[int(sign)]}/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

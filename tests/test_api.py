@@ -29,6 +29,9 @@ REMOVED = (
     "paste",
     "one_step_check",
     "translate_trace",
+    "triangulate",
+    "oriented_triangles",
+    "OrientedTriangle",
 )
 
 

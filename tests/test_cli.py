@@ -50,6 +50,14 @@ def test_check_names_an_unknown_codomain(capsys, tmp_path):
     )
 
 
+def test_check_names_a_misnamed_size_key(capsys, tmp_path):
+    p = tmp_path / "key.dmap"
+    p.write_text("dmap v1 x=4 h=4 codomain=S2 basepoint=-1\n")
+    assert run(capsys, ["check", str(p)]) == (
+        1, "", "error: line 1: expected w=<value>, got 'x=4'\n"
+    )
+
+
 def test_missing_file_is_an_error(capsys, tmp_path):
     code, out, err = run(capsys, ["check", str(tmp_path / "nope.dmap")])
     assert code == 1 and "error:" in err
@@ -253,6 +261,9 @@ def test_verify_rejects_a_move_coordinate_past_int64(capsys, tmp_path, tmap):
     assert err == f"error: line {k + 1}: move coordinates must fit in 64 bits\n"
 
 
+T_TEXT_DUMP = d.dump_map(grid(T_TEXT))
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("a flag over the budget reached the work it sizes")
 
@@ -299,6 +310,37 @@ def test_gen_and_oracle_accept_values_at_the_budget(capsys, tmap, monkeypatch):
     assert run(capsys, argv) == (0, f"unknown: stub ({cli._BUDGET} states)\n", "")
     argv[2] = str(cli._BUDGET + 1)
     assert run(capsys, argv)[0] == 2
+
+
+def test_op_subdivide_and_extend_check_their_cells_against_the_budget(
+    capsys, tmap, monkeypatch
+):
+    # T has 5 x 5 points: subdivide k makes 25 k^2 cells, extend m n (m+1)(n+1).
+    fits = int((cli._BUDGET / 25) ** 0.5)
+    assert 25 * fits**2 <= cli._BUDGET < 25 * (fits + 1) ** 2
+    side = int(cli._BUDGET**0.5)
+    cases = (
+        ("subdivide", [fits], [fits + 1], "op subdivide k", 25 * (fits + 1) ** 2),
+        ("extend", [side - 1] * 2, [side, side - 1], "op extend m/n", (side + 1) * side),
+    )
+    for op, at, past, flag, cells in cases:
+        monkeypatch.setattr(cli, "subdivide", _refuse)
+        monkeypatch.setattr(cli, "trivial_extend", _refuse)
+        code, out, err = run(capsys, ["op", op, str(tmap), *map(str, past)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} asks for {cells} cells, over the budget of {cli._BUDGET}\n"
+        monkeypatch.setattr(cli, "subdivide", lambda f, k: f)
+        monkeypatch.setattr(cli, "trivial_extend", lambda f, m, n: f)
+        assert run(capsys, ["op", op, str(tmap), *map(str, at)]) == (0, T_TEXT_DUMP, "")
+
+
+def test_op_subdivide_and_extend_keep_their_own_errors(capsys, tmap):
+    for argv, message in (
+        (["subdivide", str(tmap), "0"], "subdivision factor must be >= 1, got 0"),
+        (["subdivide", str(tmap), "-3"], "subdivision factor must be >= 1, got -3"),
+        (["extend", str(tmap), "-5", "-5"], "cannot shrink I_{4,4} to I_{-5,-5}"),
+    ):
+        assert run(capsys, ["op", *argv]) == (1, "", f"error: {message}\n")
 
 
 def test_run_reuses_one_parser_and_prints_what_a_fresh_one_does(capsys, tmap, monkeypatch):

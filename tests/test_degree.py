@@ -1,25 +1,34 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 import dpi2 as d
+from dpi2.degree import _LOOKUP, _orientations
 
 from conftest import grid
 
 
-def test_triangulate_counts():
-    assert len(d.triangulate(1, 1)) == 2
-    assert len(d.triangulate(4, 4)) == 32
-    assert len(d.triangulate(5, 4)) == 40
-    assert d.triangulate(0, 3) == []
+def _charged(f):
+    """Each triangle of f's triangulation that counts, by its CCW vertices."""
+    lower, upper = _orientations(f)
+    hits = {}
+    for (b, a), sign in np.ndenumerate(lower):
+        if sign:
+            hits[((a, b), (a + 1, b), (a + 1, b + 1))] = int(sign)
+    for (b, a), sign in np.ndenumerate(upper):
+        if sign:
+            hits[((a, b), (a + 1, b + 1), (a, b + 1))] = int(sign)
+    return hits
 
 
-def test_triangulate_vertex_order():
-    tris = d.triangulate(1, 1)
-    assert tris == [
-        ((0, 0), (1, 0), (1, 1)),
-        ((0, 0), (1, 1), (0, 1)),
-    ]
+def test_sign_table_is_the_determinant_of_the_corner_labels():
+    # A triangle counts iff its labels are exactly e1, e2, e3, with the sign
+    # of the determinant of their unit vectors.
+    for i, j, k in itertools.product(range(6), repeat=3):
+        det = round(np.linalg.det([d.S2.points[v] for v in (i, j, k)]))
+        assert _LOOKUP[i, j, k] == (det if {i, j, k} == {0, 1, 2} else 0)
 
 
 def test_reference_degrees(T, T_inv, zero_map):
@@ -35,30 +44,24 @@ def test_requires_sphere_codomain():
     f = d.constant_map(d.Rectangle(3, 3), circle, 2)
     with pytest.raises(ValueError):
         d.triangle_count(f)
-    with pytest.raises(ValueError):
-        d.oriented_triangles(f)
+    with pytest.raises(ValueError, match="sphere-valued"):
+        _orientations(f)
+    with pytest.raises(ValueError, match="sphere-valued"):
+        d.render_svg(f, d.RenderSpec(format="svg", show_triangulation=True))
 
 
 def test_single_counting_triangle_of_the_generator(T):
-    hits = [t for t in d.oriented_triangles(T) if t.orientation != 0]
-    assert hits == [
-        d.OrientedTriangle(vertices=((1, 1), (2, 2), (1, 2)), orientation=1)
-    ]
+    assert _charged(T) == {((1, 1), (2, 2), (1, 2)): 1}
 
 
 def test_mirror_image_has_single_negative_triangle(T_inv):
-    hits = [t for t in d.oriented_triangles(T_inv) if t.orientation != 0]
-    assert len(hits) == 1 and hits[0].orientation == -1
+    hits = _charged(T_inv)
+    assert len(hits) == 1 and list(hits.values()) == [-1]
 
 
 def test_zero_map_triangle_breakdown(zero_map):
-    hits = {
-        t.vertices: t.orientation
-        for t in d.oriented_triangles(zero_map)
-        if t.orientation != 0
-    }
     # two positive and two negative triangles that cancel exactly
-    assert hits == {
+    assert _charged(zero_map) == {
         ((1, 1), (2, 2), (1, 2)): 1,
         ((2, 2), (3, 3), (2, 3)): -1,
         ((3, 2), (4, 3), (3, 3)): 1,

@@ -41,6 +41,35 @@ def test_load_map_rejects_dot_basepoint_header():
         d.load_map(doc)
 
 
+@pytest.mark.parametrize(
+    "load, head",
+    [
+        (d.load_map, "dmap v1 {} {} codomain=S2 basepoint=-1"),
+        (d.load_certificate, "dcert v1 codomain=S2 {} {}"),
+    ],
+)
+def test_header_size_errors_name_what_is_wrong(load, head):
+    # A misnamed key is reported as such, not as a non-integer size.
+    for w, h, message in (
+        ("x=4", "h=4", "expected w=<value>, got 'x=4'"),
+        ("w=4", "y=4", "expected h=<value>, got 'y=4'"),
+        ("w=four", "h=4", "width/height must be integers"),
+        ("w=4", "h=-1", "width/height must be >= 0"),
+    ):
+        with pytest.raises(ParseError) as ei:
+            load(head.format(w, h) + "\n")
+        assert str(ei.value) == f"line 1: {message}"
+
+
+def test_load_map_rejects_an_unknown_basepoint_and_extra_rows():
+    with pytest.raises(ParseError) as ei:
+        d.load_map("dmap v1 w=0 h=0 codomain=S2 basepoint=7\n.\n")
+    assert str(ei.value) == "line 1: unknown basepoint token '7'"
+    with pytest.raises(ParseError) as ei:
+        d.load_map("dmap v1 w=0 h=0 codomain=S2 basepoint=-1\n.\n\n.\n")
+    assert str(ei.value) == "line 4: unexpected content after grid rows"
+
+
 def test_load_map_diagnoses_unknown_token():
     doc = "dmap v1 w=2 h=2 codomain=S2 basepoint=-1\n. . .\n. q .\n. . .\n"
     with pytest.raises(ParseError) as ei:

@@ -302,6 +302,20 @@ def test_pi2_class_rotates_a_ring_to_the_reference_stamp(monkeypatch):
     _assert_reaches_canonical_stack(c, cert)
 
 
+def test_pi2_class_adjusts_an_anti_diagonal_e1_corner():
+    # Here e1 sits at (3,4) and (4,3) but not at (3,3) or (4,4): two blocks
+    # meet corner to corner along the anti-diagonal, and the adjustment
+    # adds six cells around the corner (19,20) of the 5-fold subdivision.
+    f = d.gen_random(34, 6, 6, 200, -1)
+    e = f.array == d.S2Label.E1
+    assert e[4, 3] and e[3, 4] and not e[3, 3] and not e[4, 4]
+    six = {(19, 18), (18, 19), (19, 19), (20, 20), (21, 20), (20, 21)}
+    assert six <= set(normalize._adjustment_cells(f, 5))
+    c, cert = d.pi2_class(f)
+    assert c == d.triangle_count(f) == -1
+    _assert_reaches_canonical_stack(c, cert)
+
+
 # --- the full pipeline -----------------------------------------------------
 
 def test_pi2_class_reference_values(T, T_inv):

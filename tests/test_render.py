@@ -57,7 +57,13 @@ def test_svg_cell_grid(T):
 def test_svg_triangulation_overlay(T):
     spec = d.RenderSpec(format="svg", cell_size=10, show_triangulation=True)
     svg = d.render_svg(T, spec)
-    assert svg.count("<polygon") == len(d.triangulate(T.rect.m, T.rect.n))
+    assert svg.count("<polygon") == 2 * T.rect.m * T.rect.n
+    # T's one counting triangle, (1,1),(2,2),(1,2), is drawn green
+    green = [ln for ln in svg.splitlines() if ln.startswith("<polygon") and "#2ca02c" in ln]
+    assert green == [
+        '<polygon points="15,35 25,25 15,25" fill="#2ca02c" fill-opacity="0.45" '
+        'stroke="#000" stroke-width="0.5"/>'
+    ]
 
 
 def test_svg_scales_with_cell_size(T):
