@@ -7,7 +7,6 @@ from .grid import (
     Explicit,
     LatticeCq,
     Rectangle,
-    adjacent,
 )
 from .sphere import (
     BASEPOINT,
@@ -31,7 +30,6 @@ from .gridmap import (
     trivial_extend,
 )
 from .degree import (
-    degree_minus_one_map,
     degree_one_map,
     triangle_count,
 )
@@ -39,7 +37,6 @@ from .verify import (
     Certificate,
     SpiderMove,
     VerifyResult,
-    identity_certificate,
     spider_valid,
     verify_certificate,
 )
@@ -62,7 +59,7 @@ from .formats import (
     load_map,
 )
 from .generate import gen_random
-from .render import RenderSpec, render_ascii, render_map, render_svg
+from .render import RenderSpec, render_map
 
 __version__ = "1.0.0"
 
@@ -85,7 +82,6 @@ __all__ = [
     "SubRect",
     "Unknown",
     "VerifyResult",
-    "adjacent",
     "antipode",
     "apply_alpha",
     "apply_beta",
@@ -96,7 +92,6 @@ __all__ = [
     "classify_island",
     "constant_map",
     "decompose_one_step",
-    "degree_minus_one_map",
     "degree_one_map",
     "doubling_trace",
     "dump_certificate",
@@ -106,7 +101,6 @@ __all__ = [
     "from_array",
     "gen_random",
     "homotopy_decide",
-    "identity_certificate",
     "inverse",
     "isolate_e1",
     "load_certificate",
@@ -115,9 +109,7 @@ __all__ = [
     "map_compose",
     "pi2_class",
     "product",
-    "render_ascii",
     "render_map",
-    "render_svg",
     "spider_valid",
     "subdivide",
     "triangle_count",

@@ -25,23 +25,24 @@ from .generate import gen_random
 from .gridmap import apply_alpha, apply_beta, inverse, product, subdivide, trivial_extend
 from .homotopy import flood
 from .normalize import pi2_class
-from .oracle import Equivalent, SearchBudget, homotopy_decide
+from .oracle import Equivalent, SearchBudget, _search_bytes, homotopy_decide
 from .render import RenderSpec, render_map
 from .verify import verify_certificate
 
-# The most grid cells one map or normalization frame may take, and the most
-# states the oracle may keep (each holds a whole padded grid).  A flag asking
-# for more exits 2 before anything it sizes is allocated.
+# The most grid cells one map or normalization frame may take, the most states
+# the oracle may keep, and the most bytes one oracle search may hold.  A flag
+# asking for more exits 2 before anything it sizes is allocated.
 _BUDGET = 1 << 22
+_SEARCH_BYTES = 1 << 30
 
 
 class _OverBudget(Exception):
     """A flag value whose memory would exceed _BUDGET: a usage error."""
 
 
-def _check_budget(flag: str, amount: int, what: str) -> None:
-    if amount > _BUDGET:
-        raise _OverBudget(f"{flag} asks for {amount} {what}, over the budget of {_BUDGET}")
+def _check_budget(flag: str, amount: int, what: str, budget: int = _BUDGET) -> None:
+    if amount > budget:
+        raise _OverBudget(f"{flag} asks for {amount} {what}, over the budget of {budget}")
 
 
 def _read(path: str) -> str:
@@ -117,6 +118,8 @@ def _cmd_oracle(args) -> int:
         pad_limit=_parse_pad(args.pad) if args.pad else None,
         max_states=args.max_states,
     )
+    need = _search_bytes(f, g, budget)
+    _check_budget("--pad/--max-states", need, "bytes", _SEARCH_BYTES)
     res = homotopy_decide(f, g, budget)
     if isinstance(res, Equivalent):
         print(f"equivalent: {len(res.certificate.moves)} moves")

@@ -45,7 +45,7 @@ def triangle_count(f) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Reference maps of degree +1 and -1 on I_{4,4}.
+# The reference map of degree +1 on I_{4,4}; its mirror image has degree -1.
 
 _ROWS_PLUS = (
     (3, 3, 3, 3, 3),
@@ -62,10 +62,3 @@ def degree_one_map():
     from .sphere import BASEPOINT
 
     return from_array(np.array(_ROWS_PLUS, dtype=np.uint8), S2, BASEPOINT)
-
-
-def degree_minus_one_map():
-    """Mirror image of degree_one_map; degree -1."""
-    from .gridmap import inverse
-
-    return inverse(degree_one_map())

@@ -19,7 +19,7 @@ from itertools import islice
 
 import numpy as np
 
-from .grid import DigitalImage, Rectangle, grid_fault
+from .grid import DigitalImage, grid_fault
 from .gridmap import GridMap, from_array
 from .sphere import make_sphere
 from .verify import Certificate, PackedMoves
@@ -94,9 +94,9 @@ class TokenTable:
     """A codomain's label tokens, resolved once per document.
 
     ``tokens[i]`` is the canonical token of point index i; ``indices`` maps
-    each canonical token (and ``-1`` on a sphere) back to its index.  Other
-    spellings fall back to the regular-expression parse, so a non-canonical
-    one such as ``007`` on a non-sphere codomain still names point 7.
+    each canonical token (and ``-1`` on a sphere) back to its index.  A
+    sphere has no other spellings; on any other codomain a decimal with
+    leading zeros, such as ``007``, still names point 7.
     """
 
     def __init__(self, codomain: DigitalImage):
@@ -114,21 +114,10 @@ class TokenTable:
     def index(self, token: str) -> int | None:
         """Point index for a token, or None if the token is unknown."""
         idx = self.indices.get(token)
-        if idx is not None:
-            return idx
-        n = self.sphere_n
-        if n is None:
-            if re.fullmatch(r"\d+", token):
-                idx = int(token)
-                return idx if idx < len(self.tokens) else None
-            return None
-        m = re.fullmatch(r"(-?)([1-9]\d*)", token)
-        if not m:
-            return None
-        axis = int(m.group(2))
-        if axis > n + 1:
-            return None
-        return (axis - 1) + (n + 1 if m.group(1) else 0)
+        if idx is None and self.sphere_n is None and re.fullmatch(r"\d+", token):
+            idx = int(token)
+            return idx if idx < len(self.tokens) else None
+        return idx
 
 
 def _resolve_codomain(name: str, provided: DigitalImage | None, line: int) -> DigitalImage:
@@ -550,12 +539,4 @@ def load_certificate(
         raise ParseError("unexpected content after end grid", end_rows[n + 1][0])
     end = _grid_map(_parse_grid_rows(end_rows, m, n, table), cod, bp, table, end_rows)
 
-    cert = Certificate(
-        codomain=cod,
-        basepoint=bp,
-        common_rect=Rectangle(m, n),
-        start=start,
-        moves=moves,
-        end=end,
-    )
-    return cert, move_lines
+    return Certificate(start=start, moves=moves, end=end), move_lines

@@ -142,16 +142,6 @@ class DigitalImage:
         return tuple(masks)
 
 
-def adjacent(img: DigitalImage, p: Point, q: Point) -> bool:
-    """True iff p ~ q in the image's adjacency (reflexive, symmetric)."""
-    idx = img.point_index
-    if p not in idx:
-        raise ValueError(f"point {p} is not in image {img.name!r}")
-    if q not in idx:
-        raise ValueError(f"point {q} is not in image {img.name!r}")
-    return bool(img.adjacency_matrix[idx[p], idx[q]])
-
-
 @dataclass(frozen=True)
 class Rectangle:
     """The domain rectangle I_{m,n} = {0..m} x {0..n}."""

@@ -290,12 +290,7 @@ class _TraceBuilder:
 
     def certificate(self) -> Certificate:
         return Certificate(
-            codomain=self.codomain,
-            basepoint=self.basepoint,
-            common_rect=self.rect,
-            start=self.start,
-            moves=PackedMoves.join(self._chunks),
-            end=self.current_map(),
+            start=self.start, moves=PackedMoves.join(self._chunks), end=self.current_map()
         )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import degree_minus_one_map, degree_one_map, triangle_count
+from .degree import degree_one_map, triangle_count
 from .grid import Rectangle, allowed_grid, mask_array
 from .gridmap import (
     GridMap,
@@ -28,7 +28,7 @@ from .gridmap import (
 )
 from .homotopy import _TraceBuilder, _emit_translate
 from .sphere import BASEPOINT, S2, antipode
-from .verify import Certificate, identity_certificate
+from .verify import Certificate
 
 _E1 = antipode(BASEPOINT)  # the label opposite the basepoint (index 0)
 _SEA = BASEPOINT
@@ -77,7 +77,7 @@ def canonical_stack(c: int, rect: Rectangle) -> GridMap:
     if abs(c) > 0 and (rect.m < 5 * abs(c) - 1 or rect.n < 5 * abs(c) - 1):
         raise ValueError(f"rectangle too small for {abs(c)} diagonal stamps")
     arr = np.full((rect.height, rect.width), _SEA, dtype=np.uint8)
-    src = degree_one_map() if c >= 0 else degree_minus_one_map()
+    src = degree_one_map() if c >= 0 else inverse(degree_one_map())
     content = src.array[1:4, 1:4]
     for t in range(abs(c)):
         arr[5 * t + 1 : 5 * t + 4, 5 * t + 1 : 5 * t + 4] = content
@@ -402,7 +402,7 @@ def cancel_certificate(f: GridMap) -> Certificate:
     """Certificate that product(f, inverse(f)) reaches the constant map."""
     p = product(f, inverse(f))
     if p.is_constant():
-        return identity_certificate(p)
+        return Certificate(start=p, moves=(), end=p)
     mbar, nbar = f.rect.m, f.rect.n
     builder = _TraceBuilder(p)
     # Lower the mirrored block to sit beside f: the grid becomes the
@@ -507,5 +507,5 @@ def pi2_class(f: GridMap, k: int = 5) -> tuple[int, Certificate]:
     expected = canonical_stack(d_in, builder.rect)
     if not (builder.arr == expected.array).all():
         raise RuntimeError("normalization did not reach the canonical stack")
-    cert = cert1.extended(wfin, hfin).then(builder.certificate())
+    cert = cert1.then(builder.certificate())
     return d_in, cert

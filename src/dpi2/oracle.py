@@ -22,7 +22,7 @@ import numpy as np
 
 from .grid import DigitalImage, Rectangle, allowed_array, mask_array
 from .gridmap import GridMap, trivial_extend
-from .verify import Certificate, PackedMoves, identity_certificate, nine_offsets
+from .verify import Certificate, PackedMoves, nine_offsets
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,19 @@ class Unknown:
 
 # States expanded together, by one round of numpy calls.
 _CHUNK = 256
+
+
+def _search_bytes(f: GridMap, g: GridMap, budget: SearchBudget) -> int:
+    """About the most bytes ``homotopy_decide(f, g, budget)`` holds at once.
+
+    Per child in a chunk: three padded grids (array, bytes, bytes object) and
+    ~80 B; per visited state: its grid and ~100 B of dict slot and header.
+    """
+    w, h = budget.pad_limit or (
+        max(f.rect.width, g.rect.width), max(f.rect.height, g.rect.height)
+    )
+    children = _CHUNK * max(w - 2, 0) * max(h - 2, 0) * (len(f.codomain.points) - 1)
+    return children * (3 * w * h + 80) + budget.max_states * (w * h + 100)
 
 
 def _expander(
@@ -129,7 +142,7 @@ def homotopy_decide(
     g0 = trivial_extend(g, rect.m, rect.n)
     start, target = f0.values, g0.values
     if start == target:
-        return Equivalent(identity_certificate(f0))
+        return Equivalent(Certificate(start=f0, moves=(), end=f0))
 
     expand = _expander(rect, f.codomain)
     # Per side (0 grows from f, 1 from g): each visited state's parent, one
@@ -183,9 +196,6 @@ def _certificate(
         cells.append(pos)
         labels.append(after[pos])
     return Certificate(
-        codomain=f0.codomain,
-        basepoint=f0.basepoint,
-        common_rect=f0.rect,
         start=f0,
         moves=PackedMoves([p % w for p in cells], [p // w for p in cells], labels),
         end=g0,

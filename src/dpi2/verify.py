@@ -150,26 +150,32 @@ class VerifyResult:
 class Certificate:
     """A replayable witness that ``start`` and ``end`` are homotopic.
 
-    Both endpoint maps live on ``common_rect``; maps on smaller rectangles
-    are trivially extended before a certificate is built, never truncated.
-    ``moves`` may be given as any iterable of SpiderMoves and is stored as
-    PackedMoves.
+    ``start`` fixes the rectangle, codomain and basepoint, which ``end``
+    must share; maps on smaller rectangles are trivially extended before a
+    certificate is built, never truncated.  ``moves`` may be given as any
+    iterable of SpiderMoves and is stored as PackedMoves.
     """
 
-    codomain: DigitalImage
-    basepoint: int
-    common_rect: Rectangle
     start: GridMap
     moves: PackedMoves
     end: GridMap
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "moves", PackedMoves.of(self.moves))
-        for name, g in (("start", self.start), ("end", self.end)):
-            if g.rect != self.common_rect:
-                raise ValueError(f"{name} map is not on the common rectangle")
-            if g.codomain != self.codomain or g.basepoint != self.basepoint:
-                raise ValueError(f"{name} map disagrees on codomain/basepoint")
+        if reason := _end_mismatch(self):
+            raise ValueError(reason)
+
+    @property
+    def common_rect(self) -> Rectangle:
+        return self.start.rect
+
+    @property
+    def codomain(self) -> DigitalImage:
+        return self.start.codomain
+
+    @property
+    def basepoint(self) -> int:
+        return self.start.basepoint
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -184,9 +190,6 @@ class Certificate:
         if m2 == self.common_rect.m and n2 == self.common_rect.n:
             return self
         return Certificate(
-            codomain=self.codomain,
-            basepoint=self.basepoint,
-            common_rect=Rectangle(m2, n2),
             start=trivial_extend(self.start, m2, n2),
             moves=self.moves,
             end=trivial_extend(self.end, m2, n2),
@@ -194,34 +197,24 @@ class Certificate:
 
     def then(self, other: "Certificate") -> "Certificate":
         """Concatenate with a certificate that begins where this one ends."""
-        if self.codomain != other.codomain or self.basepoint != other.basepoint:
-            raise ValueError("cannot chain certificates across codomains")
         m2 = max(self.common_rect.m, other.common_rect.m)
         n2 = max(self.common_rect.n, other.common_rect.n)
         a = self.extended(m2, n2)
         b = other.extended(m2, n2)
-        if a.end.values != b.start.values:
+        if a.end != b.start:
             raise ValueError("certificates do not meet: end of first != start of second")
         return Certificate(
-            codomain=a.codomain,
-            basepoint=a.basepoint,
-            common_rect=a.common_rect,
-            start=a.start,
-            moves=PackedMoves.join([a.moves, b.moves]),
-            end=b.end,
+            start=a.start, moves=PackedMoves.join([a.moves, b.moves]), end=b.end
         )
 
 
-def identity_certificate(f: GridMap) -> Certificate:
-    """The empty certificate from f to itself."""
-    return Certificate(
-        codomain=f.codomain,
-        basepoint=f.basepoint,
-        common_rect=f.rect,
-        start=f,
-        moves=(),
-        end=f,
-    )
+def _end_mismatch(c: Certificate) -> str | None:
+    """Why ``c.end`` does not share start's rectangle, codomain and basepoint."""
+    if c.end.rect != c.common_rect:
+        return "end map not on common rectangle"
+    if c.end.codomain != c.codomain or c.end.basepoint != c.basepoint:
+        return "end map codomain/basepoint mismatch"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +236,8 @@ def spider_valid(f: GridMap, mv: SpiderMove) -> bool:
 def verify_certificate(c: Certificate) -> VerifyResult:
     """Replay a certificate from scratch and accept only a perfect run.
 
-    Re-validates both endpoint grids directly, then replays the moves in
+    Checks that the end map shares the start map's rectangle, codomain and
+    basepoint, re-validates both endpoint grids, then replays the moves in
     blocks of ``_VERIFY_BLOCK``.  In a block, a move reads each of its nine
     cells from the block's last earlier write there, else from the grid as
     the block began, and is legal iff ``allowed_array`` allows its new label
@@ -255,11 +249,9 @@ def verify_certificate(c: Certificate) -> VerifyResult:
     rect = c.common_rect
     w = rect.width
     npts = len(c.codomain.points)
+    if reason := _end_mismatch(c):
+        return VerifyResult(False, reason)
     for name, g in (("start", c.start), ("end", c.end)):
-        if g.rect != rect:
-            return VerifyResult(False, f"{name} map not on common rectangle")
-        if g.codomain != c.codomain or g.basepoint != c.basepoint:
-            return VerifyResult(False, f"{name} map codomain/basepoint mismatch")
         fault = grid_fault(g.array, c.basepoint, c.codomain)
         if fault is not None and len(fault) == 1:
             return VerifyResult(False, f"{name} map boundary not pinned")

@@ -32,6 +32,11 @@ REMOVED = (
     "triangulate",
     "oriented_triangles",
     "OrientedTriangle",
+    "identity_certificate",
+    "adjacent",
+    "degree_minus_one_map",
+    "render_ascii",
+    "render_svg",
 )
 
 

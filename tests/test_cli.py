@@ -1,13 +1,14 @@
 """Command line driver, exercised in-process through dpi2.cli.run."""
 
-import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 import dpi2 as d
 import dpi2.cli as cli
-from dpi2 import verify
+from dpi2 import oracle, verify
+from dpi2.render import render_ascii
 
 from conftest import grid, T_TEXT
 
@@ -117,7 +118,7 @@ def test_verify_names_the_line_of_a_bad_move_past_the_first_block(capsys, tmp_pa
     bad = n - 101
     label[bad] = 4
     sea = d.constant_map(d.Rectangle(6, 6), d.S2, d.BASEPOINT)
-    cert = dataclasses.replace(d.identity_certificate(sea), moves=verify.PackedMoves(a, b, label))
+    cert = d.Certificate(start=sea, moves=verify.PackedMoves(a, b, label), end=sea)
     cert_path = tmp_path / "t.dcert"
     doc = d.dump_certificate(cert)
     cert_path.write_text(doc)
@@ -168,7 +169,7 @@ def test_oracle_rejects_bad_pad(capsys, tmap):
 def test_render_ascii_default(capsys, tmap):
     code, out, _ = run(capsys, ["render", str(tmap)])
     assert code == 0
-    assert out == d.render_ascii(grid(T_TEXT))
+    assert out == render_ascii(grid(T_TEXT))
 
 
 def test_render_svg_to_file(capsys, tmp_path, tmap):
@@ -281,6 +282,46 @@ def test_memory_flags_over_the_budget_exit_2_before_any_work(capsys, tmap, monke
         assert err.endswith(f"over the budget of {cli._BUDGET}\n")
 
 
+def test_oracle_checks_its_search_bytes_before_searching(capsys, tmap, monkeypatch):
+    monkeypatch.setattr(cli, "homotopy_decide", _refuse)
+    monkeypatch.setattr(oracle, "_expander", _refuse)
+
+    def need(side):
+        budget = d.SearchBudget(pad_limit=(side, side))
+        return oracle._search_bytes(grid(T_TEXT), grid(T_TEXT), budget)
+
+    # At the default --max-states, 21 x 21 is the largest square pad that fits.
+    assert need(21) <= cli._SEARCH_BYTES < need(22)
+    over = (
+        2,
+        "",
+        f"error: --pad/--max-states asks for {need(30)} bytes, "
+        f"over the budget of {cli._SEARCH_BYTES}\n",
+    )
+    assert run(capsys, ["oracle", "--pad", "30x30", str(tmap), str(tmap)]) == over
+    # Without --pad the search pads to the larger map.
+    big = tmap.parent / "big.dmap"
+    big.write_text(d.dump_map(d.constant_map(d.Rectangle(29, 29), d.S2, d.BASEPOINT)))
+    assert run(capsys, ["oracle", str(big), str(tmap)]) == over
+    monkeypatch.setattr(cli, "homotopy_decide", lambda f, g, budget: d.Unknown(0, "stub"))
+    argv = ["oracle", str(tmap), str(tmap)]
+    assert run(capsys, argv) == (0, "unknown: stub (0 states)\n", "")
+
+
+def test_oracle_output_at_6x6_is_unchanged_by_the_byte_check(capsys, tmp_path):
+    pf, pg, pc = tmp_path / "f.dmap", tmp_path / "g.dmap", tmp_path / "o.dcert"
+    pf.write_text(d.dump_map(d.gen_random(0, 4, 4, moves=3)))
+    pg.write_text(d.dump_map(d.gen_random(0, 4, 4, moves=15)))
+    argv = ["oracle", "--pad", "6x6", "--cert", str(pc), str(pf), str(pg)]
+    assert run(capsys, argv) == (0, "equivalent: 8 moves\n", "")
+    # The digest of the certificate the search wrote before the check existed.
+    assert hashlib.sha256(pc.read_bytes()).hexdigest() == (
+        "9a5824d586263999ea46849f97efa086066d1db3d1a18be0e872e48fbb8bb805"
+    )
+    argv = ["oracle", "--pad", "6x6", "--max-states", "2000", str(pf), str(pg)]
+    assert run(capsys, argv) == (0, "unknown: state budget exhausted (2000 states)\n", "")
+
+
 def test_normalize_checks_the_frame_of_k_against_the_budget(capsys, tmap, monkeypatch):
     # T has 5 x 5 points, so --k k asks for a frame of 25 k^2 cells.
     fits = int((cli._BUDGET / 25) ** 0.5)
@@ -292,7 +333,9 @@ def test_normalize_checks_the_frame_of_k_against_the_budget(capsys, tmap, monkey
         f"error: --k asks for {25 * (fits + 1) ** 2} frame cells, "
         f"over the budget of {cli._BUDGET}\n"
     )
-    monkeypatch.setattr(cli, "pi2_class", lambda f, k: (1, d.identity_certificate(f)))
+    monkeypatch.setattr(
+        cli, "pi2_class", lambda f, k: (1, d.Certificate(start=f, moves=(), end=f))
+    )
     assert run(capsys, ["normalize", "--k", str(fits), str(tmap)]) == (0, "1\n", "")
 
 

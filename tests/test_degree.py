@@ -6,6 +6,7 @@ import pytest
 
 import dpi2 as d
 from dpi2.degree import _LOOKUP, _orientations
+from dpi2.render import render_svg
 
 from conftest import grid
 
@@ -47,7 +48,7 @@ def test_requires_sphere_codomain():
     with pytest.raises(ValueError, match="sphere-valued"):
         _orientations(f)
     with pytest.raises(ValueError, match="sphere-valued"):
-        d.render_svg(f, d.RenderSpec(format="svg", show_triangulation=True))
+        render_svg(f, d.RenderSpec(format="svg", show_triangulation=True))
 
 
 def test_single_counting_triangle_of_the_generator(T):
@@ -140,4 +141,4 @@ def test_subdivision_invariance_small_k():
 
 def test_reference_map_constructors(T, T_inv):
     assert d.degree_one_map().values == T.values
-    assert d.degree_minus_one_map().values == T_inv.values
+    assert d.inverse(d.degree_one_map()).values == T_inv.values

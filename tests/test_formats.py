@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import time
 import tracemalloc
@@ -163,14 +162,16 @@ def test_certificate_roundtrip(T):
 
 
 def test_certificate_reads_basepoint_from_corner(T):
-    cert = d.identity_certificate(d.border_wrap(T, 1))  # basepoint e2, not -e1
+    f = d.border_wrap(T, 1)  # basepoint e2, not -e1
+    cert = d.Certificate(start=f, moves=(), end=f)
     doc = d.dump_certificate(cert)
     cert2, _ = d.load_certificate(doc)
     assert cert2.basepoint == 1
 
 
 def test_certificate_move_lines_point_at_the_file():
-    cert = d.identity_certificate(grid(T_TEXT))
+    t = grid(T_TEXT)
+    cert = d.Certificate(start=t, moves=(), end=t)
     doc = d.dump_certificate(cert)
     # append a bogus move by hand right before the end section
     lines = doc.splitlines()
@@ -183,7 +184,7 @@ def test_certificate_move_lines_point_at_the_file():
 
 
 def test_certificate_parse_errors(T):
-    doc = d.dump_certificate(d.identity_certificate(T))
+    doc = d.dump_certificate(d.Certificate(start=T, moves=(), end=T))
     with pytest.raises(ParseError):
         d.load_certificate(doc.replace("moves", "mves", 1))
     with pytest.raises(ParseError):
@@ -217,6 +218,27 @@ def test_token_helpers():
     assert table.index(".") == 3
     assert table.index("-3") == 5
     assert table.index("7") is None
+
+
+def _sphere_token_reference(token, n):
+    """The parse of an S<n> label token that the canonical table replaced."""
+    m = re.fullmatch(r"(-?)([1-9]\d*)", token)
+    if not m or int(m.group(2)) > n + 1:
+        return None
+    return (int(m.group(2)) - 1) + (n + 1 if m.group(1) else 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sphere_tokens_resolve_as_the_axis_rule_did(n):
+    # Every token the axis rule reads is canonical, so the table alone
+    # resolves the same ones; "." is the one alias the rule never read.
+    table = TokenTable(d.make_sphere(n))
+    odd = ["01", "+1", "-0", "0", "-01", "1.0", "--1", "1\u0660", str(n + 2), f"-{n + 2}"]
+    for token in [*table.tokens, "-1", *odd]:
+        if token != ".":
+            assert table.index(token) == _sphere_token_reference(token, n), token
+    assert table.index(".") == n + 1
+    assert [table.index(t) for t in table.tokens] == list(range(2 * n + 2))
 
 
 def test_golden_certificate_round_trips_byte_for_byte():
@@ -272,7 +294,7 @@ def _toggle_certificate(n_pairs: int) -> d.Certificate:
     a, b = np.repeat(1 + k % 19, 2), np.repeat(1 + k // 19 % 19, 2)
     label = np.tile([1, d.BASEPOINT], n_pairs)
     moves = verify.PackedMoves(a, b, label)
-    return dataclasses.replace(d.identity_certificate(sea), moves=moves)
+    return d.Certificate(start=sea, moves=moves, end=sea)
 
 
 def test_certificate_load_is_linear_in_moves():
@@ -349,8 +371,8 @@ def test_sparse_and_extreme_move_coordinates_dump_and_load(T):
     # Values spread far apart are formatted one per distinct value, not per
     # value in their range.
     moves = [((2**63 - 1, 1), 0), ((-(2**63), 7), 3), ((1, 10**12), 4), ((1, 1), 5)]
-    cert = dataclasses.replace(
-        d.identity_certificate(T), moves=tuple(d.SpiderMove(at, v) for at, v in moves)
+    cert = d.Certificate(
+        start=T, moves=tuple(d.SpiderMove(at, v) for at, v in moves), end=T
     )
     doc = d.dump_certificate(cert)
     lines = doc.split("\n")

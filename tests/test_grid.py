@@ -14,22 +14,22 @@ def _z2(q):
 
 def test_lattice_c2_allows_diagonal():
     img = _z2(2)
-    assert d.adjacent(img, (0, 0), (1, 1))
-    assert d.adjacent(img, (0, 0), (0, 0))  # reflexive
-    assert not d.adjacent(img, (0, 0), (2, 0))
+    assert img.adjacency_matrix[img.point_index[(0, 0)], img.point_index[(1, 1)]]
+    assert img.adjacency_matrix[img.point_index[(0, 0)], img.point_index[(0, 0)]]  # reflexive
+    assert not img.adjacency_matrix[img.point_index[(0, 0)], img.point_index[(2, 0)]]
 
 
 def test_lattice_c1_blocks_diagonal():
     img = _z2(1)
-    assert not d.adjacent(img, (0, 0), (1, 1))
-    assert d.adjacent(img, (0, 0), (1, 0))
+    assert not img.adjacency_matrix[img.point_index[(0, 0)], img.point_index[(1, 1)]]
+    assert img.adjacency_matrix[img.point_index[(0, 0)], img.point_index[(1, 0)]]
 
 
 def test_sphere_antipodes_not_adjacent():
     e1 = d.S2.points[0]
     neg_e1 = d.S2.points[3]
-    assert not d.adjacent(d.S2, e1, neg_e1)
-    assert d.adjacent(d.S2, e1, d.S2.points[1])
+    assert not d.S2.adjacency_matrix[d.S2.point_index[e1], d.S2.point_index[neg_e1]]
+    assert d.S2.adjacency_matrix[d.S2.point_index[e1], d.S2.point_index[d.S2.points[1]]]
 
 
 AMAT = d.S2.adjacency_matrix
@@ -135,6 +135,6 @@ def test_grid_fault_names_the_first_fault_in_raster_order():
 def test_explicit_requires_symmetric_edges():
     adj = d.Explicit.from_pairs([(0, 1)])
     img = d.DigitalImage(name="pair", points=((0,), (1,)), adjacency=adj)
-    assert d.adjacent(img, (0,), (1,))
-    assert d.adjacent(img, (1,), (0,))
-    assert d.adjacent(img, (0,), (0,))
+    assert img.adjacency_matrix[img.point_index[(0,)], img.point_index[(1,)]]
+    assert img.adjacency_matrix[img.point_index[(1,)], img.point_index[(0,)]]
+    assert img.adjacency_matrix[img.point_index[(0,)], img.point_index[(0,)]]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 
@@ -383,14 +384,52 @@ def test_translate_trace_rejects_leaving_interior(T):
 # Certificates and the verifier.
 
 
-def test_identity_certificate(T):
-    cert = d.identity_certificate(T)
+def test_empty_certificate_verifies(T):
+    cert = d.Certificate(start=T, moves=(), end=T)
     assert cert.moves == () and cert.start.values == cert.end.values
     assert d.verify_certificate(cert).ok
 
 
+def test_a_certificate_is_its_start_moves_and_end(T):
+    names = [field.name for field in dataclasses.fields(d.Certificate)]
+    assert names == ["start", "moves", "end"]
+    cert = d.doubling_trace(T, 4, 0)
+    start = cert.start
+    assert cert.common_rect == start.rect and cert.common_rect != T.rect
+    assert cert.codomain == start.codomain and cert.basepoint == start.basepoint
+    with pytest.raises(AttributeError):
+        cert.basepoint = 0
+
+
+def test_replacing_the_moves_repacks_them_and_still_verifies(T):
+    cert = d.doubling_trace(T, 4, 0)
+    again = dataclasses.replace(cert, moves=tuple(cert.moves))
+    assert isinstance(again.moves, verify.PackedMoves) and again == cert
+    assert d.verify_certificate(again).ok
+    # One flipped label, as the benchmark's tamper checks make, is rejected.
+    *rest, last = cert.moves
+    flipped = d.SpiderMove(last.at, (last.new_value + 1) % 6)
+    assert not d.verify_certificate(dataclasses.replace(cert, moves=(*rest, flipped))).ok
+
+
+def test_an_end_map_must_share_the_start_rectangle_codomain_and_basepoint(T):
+    mismatch = "end map codomain/basepoint mismatch"
+    cases = (
+        (d.trivial_extend(T, 5, 4), "end map not on common rectangle"),
+        (d.constant_map(T.rect, d.make_sphere(3), d.BASEPOINT), mismatch),
+        (d.constant_map(T.rect, d.S2, 0), mismatch),
+    )
+    for end, reason in cases:
+        with pytest.raises(ValueError, match=reason):
+            d.Certificate(start=T, moves=(), end=end)
+        # An end set past the constructor is caught by the verifier.
+        cert = d.Certificate(start=T, moves=(), end=T)
+        object.__setattr__(cert, "end", end)
+        assert d.verify_certificate(cert) == d.VerifyResult(False, reason)
+
+
 def test_certificate_extension_never_shrinks(T):
-    cert = d.identity_certificate(T)
+    cert = d.Certificate(start=T, moves=(), end=T)
     bigger = cert.extended(6, 7)
     assert bigger.common_rect == d.Rectangle(6, 7)
     assert d.verify_certificate(bigger).ok
@@ -399,11 +438,11 @@ def test_certificate_extension_never_shrinks(T):
 
 
 def test_then_requires_meeting_endpoints(T):
-    c1 = d.identity_certificate(T)
-    c2 = d.identity_certificate(sea(4, 4))
+    c1 = d.Certificate(start=T, moves=(), end=T)
+    c2 = d.Certificate(start=sea(4, 4), moves=(), end=sea(4, 4))
     with pytest.raises(ValueError):
         c1.then(c2)
-    joined = c1.then(d.identity_certificate(T).extended(6, 6))
+    joined = c1.then(d.Certificate(start=T, moves=(), end=T).extended(6, 6))
     assert joined.common_rect == d.Rectangle(6, 6)
     assert d.verify_certificate(joined).ok
 
@@ -411,9 +450,6 @@ def test_then_requires_meeting_endpoints(T):
 def test_verifier_rejects_tampered_move(T):
     g = d.apply_spider(T, d.SpiderMove((1, 1), 1))
     cert = d.Certificate(
-        codomain=d.S2,
-        basepoint=d.BASEPOINT,
-        common_rect=T.rect,
         start=T,
         moves=(d.SpiderMove((1, 1), 4),),  # -e2 against its e2 neighbor
         end=g,
@@ -424,9 +460,6 @@ def test_verifier_rejects_tampered_move(T):
 
 def test_verifier_rejects_wrong_endpoint(T):
     cert = d.Certificate(
-        codomain=d.S2,
-        basepoint=d.BASEPOINT,
-        common_rect=T.rect,
         start=T,
         moves=(),
         end=sea(4, 4),
@@ -440,7 +473,7 @@ def test_verifier_rejects_wrong_endpoint(T):
 
 
 def test_empty_certificate_moves_equal_the_empty_tuple(T):
-    moves = d.identity_certificate(T).moves
+    moves = d.Certificate(start=T, moves=(), end=T).moves
     assert moves == () and () == moves and moves == [] and len(moves) == 0
     assert list(moves) == [] and moves[:] == ()
 
@@ -462,9 +495,6 @@ def test_certificate_moves_read_like_a_tuple_of_spider_moves(T):
         cert.moves.a[0] = 7  # the packed arrays are read-only
     # Certificate still takes any iterable of SpiderMoves.
     rebuilt = d.Certificate(
-        codomain=cert.codomain,
-        basepoint=cert.basepoint,
-        common_rect=cert.common_rect,
         start=cert.start,
         moves=iter(moves),
         end=cert.end,
@@ -483,9 +513,6 @@ def test_extended_and_then_carry_packed_moves(T):
 def test_certificate_rejects_moves_that_do_not_fit_int64(T):
     with pytest.raises(ValueError, match="int64"):
         d.Certificate(
-            codomain=d.S2,
-            basepoint=d.BASEPOINT,
-            common_rect=T.rect,
             start=T,
             moves=(d.SpiderMove((2**63, 1), 1),),
             end=T,
@@ -494,9 +521,6 @@ def test_certificate_rejects_moves_that_do_not_fit_int64(T):
 
 def _verify_moves(T, moves):
     cert = d.Certificate(
-        codomain=d.S2,
-        basepoint=d.BASEPOINT,
-        common_rect=T.rect,
         start=T,
         moves=moves,
         end=T,
@@ -538,9 +562,6 @@ def _certificate(start, valid, bad=()):
     for mv in valid:
         end = d.apply_spider(end, mv)
     return d.Certificate(
-        codomain=d.S2,
-        basepoint=d.BASEPOINT,
-        common_rect=start.rect,
         start=start,
         moves=(*valid, *bad),
         end=end,
@@ -604,9 +625,9 @@ def _unchecked(f, arr):
 
 @pytest.mark.parametrize("end", ["start", "end"])
 def test_verifier_rechecks_both_endpoint_grids(T, end):
-    def reason(bad):
-        cert = d.identity_certificate(T)
-        object.__setattr__(cert, end, bad)
+    def reason(bad, field=end):
+        cert = d.Certificate(start=T, moves=(), end=T)
+        object.__setattr__(cert, field, bad)
         res = d.verify_certificate(cert)
         assert not res.ok and res.move_index is None
         return res.reason
@@ -619,7 +640,9 @@ def test_verifier_rechecks_both_endpoint_grids(T, end):
     assert reason(_unchecked(T, torn)) == f"{end} map not continuous"
     torn[0, 0] = 0  # a boundary fault is named before a continuity fault
     assert reason(_unchecked(T, torn)) == f"{end} map boundary not pinned"
-    assert reason(d.trivial_extend(T, 5, 4)) == f"{end} map not on common rectangle"
+    # The start map fixes the rectangle, codomain and basepoint, so only the
+    # end map can disagree with them.
+    assert reason(d.trivial_extend(T, 5, 4), "end") == "end map not on common rectangle"
     rebased = _unchecked(T, T.array)
     object.__setattr__(rebased, "basepoint", 0)
-    assert reason(rebased) == f"{end} map codomain/basepoint mismatch"
+    assert reason(rebased, "end") == "end map codomain/basepoint mismatch"

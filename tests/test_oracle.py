@@ -5,6 +5,8 @@ hand-sized and the expected outcomes (including exact shortest-path move
 counts) were frozen after independent runs.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,30 @@ def test_children_are_exactly_the_valid_spider_moves(monkeypatch):
         assert got == want
         states += len(maps)
     assert states >= 50
+
+
+def test_search_bytes_bound_what_one_chunk_and_its_states_take(T):
+    # 256 distinct states of an 8 x 8 pad, one whole chunk, expanded under
+    # tracemalloc: the children and their parents' list stay below the
+    # estimate's chunk term plus one state.
+    rect = d.Rectangle(7, 7)
+    expand = oracle._expander(rect, T.codomain)
+    level = [d.trivial_extend(T, 7, 7).values]
+    seen = set(level)
+    while len(level) < oracle._CHUNK:
+        new = []
+        for _, _, kids in expand(level):
+            for kid in kids:
+                if kid not in seen:
+                    seen.add(kid)
+                    new.append(kid)
+        level = new
+    states = level[: oracle._CHUNK]
+    tracemalloc.start()
+    try:
+        children = sum(len(kids) for _, _, kids in expand(states))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = oracle._search_bytes(T, T, d.SearchBudget(pad_limit=(8, 8), max_states=1))
+    assert children > 10_000 and peak <= need

@@ -30,7 +30,7 @@ def small_maps(draw):
         m, n = draw(st.integers(2, 5)), draw(st.integers(2, 5))
         seed, moves = draw(st.integers(0, 10_000)), draw(st.integers(0, 12))
         return d.gen_random(seed, m, n, moves=moves)
-    return draw(st.sampled_from([d.degree_one_map(), d.degree_minus_one_map()]))
+    return draw(st.sampled_from([d.degree_one_map(), d.inverse(d.degree_one_map())]))
 
 
 @st.composite
@@ -257,7 +257,7 @@ def certificate_documents(draw):
     f = draw(walked_maps())
     g, first = d.flood(f, draw(st.sampled_from(LABELS)))
     h, second = d.flood(g, draw(st.sampled_from(LABELS)))
-    cert = dataclasses.replace(d.identity_certificate(f), moves=(*first, *second), end=h)
+    cert = d.Certificate(start=f, moves=(*first, *second), end=h)
     lines = d.dump_certificate(cert).split("\n")
     top, bottom = lines.index("moves"), lines.index("end")
     kind = draw(st.sampled_from(sorted(_MUTATIONS)))
@@ -386,7 +386,7 @@ def mutated_certificates(draw):
         f = draw(walked_maps())
         g, first = d.flood(f, draw(st.sampled_from(LABELS)))
         h, second = d.flood(g, draw(st.sampled_from(LABELS)))
-        cert = dataclasses.replace(d.identity_certificate(f), moves=(*first, *second), end=h)
+        cert = d.Certificate(start=f, moves=(*first, *second), end=h)
     lo = draw(st.integers(0, len(cert.moves)))
     hi = draw(st.integers(lo, min(lo + 200, len(cert.moves))))
     start = _replayed(cert.start, cert.moves[:lo])

@@ -26,7 +26,8 @@ def test_adjacency_iff_not_antipodal():
     for i, j in itertools.product(range(6), repeat=2):
         p, q = d.S2.points[i], d.S2.points[j]
         expected = tuple(-c for c in p) != q
-        assert d.adjacent(d.S2, p, q) is expected, (i, j)
+        got = d.S2.adjacency_matrix[d.S2.point_index[p], d.S2.point_index[q]]
+        assert bool(got) is expected, (i, j)
 
 
 def test_twelve_adjacent_unordered_pairs():

@@ -108,11 +108,11 @@ def _sea40(m, n):
 def test_a_codomain_past_64_points_verifies_and_rejects_as_the_sphere_does():
     sea = _sea40(4, 4)
     one = d.apply_spider(sea, d.SpiderMove((2, 2), FAR))
-    cert = d.Certificate(S40, SEA40, sea.rect, sea, (d.SpiderMove((2, 2), FAR),), one)
+    cert = d.Certificate(start=sea, moves=(d.SpiderMove((2, 2), FAR),), end=one)
     assert d.verify_certificate(cert).ok
 
     def rejection(*moves):
-        res = d.verify_certificate(d.Certificate(S40, SEA40, sea.rect, sea, moves, one))
+        res = d.verify_certificate(d.Certificate(start=sea, moves=moves, end=one))
         return res.reason, res.move_index
 
     first = d.SpiderMove((2, 2), FAR)
