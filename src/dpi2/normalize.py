@@ -92,14 +92,23 @@ def _emit_subdivision(builder: _TraceBuilder, f: GridMap, k: int) -> None:
     """Walk the trivially extended f into its k-fold subdivision.
 
     Each source line p is duplicated k - 1 times by one repeated walk that
-    shifts every line past it outward, up to the last non-sea line.
+    shifts every line past it outward, up to the last non-sea line, which
+    then lies k - 1 lines on.  The walks move content along lines only, so
+    across them it keeps one extent for the whole pass; the walks shift only
+    that span, since every line is sea outside it.
     """
     for axis, count in (("a", f.rect.m), ("b", f.rect.n)):
+        content = builder.arr != _SEA
+        lines = np.nonzero(content.any(axis=0 if axis == "a" else 1))[0]
+        if not len(lines):
+            continue
+        across = np.nonzero(content.any(axis=1 if axis == "a" else 0))[0]
+        span, last = (int(across[0]), int(across[-1])), int(lines[-1])
         for p in range(0, k * count, k):
-            content = (builder.arr != _SEA).any(axis=0 if axis == "a" else 1)
-            last = int(np.nonzero(content)[0].max(initial=-1))
-            if last >= p:
-                builder.shift(axis, p + 1, last + 1, 1, times=k - 1)
+            if last < p:
+                break
+            builder.shift(axis, p + 1, last + 1, 1, span=span, times=k - 1)
+            last += k - 1
     target = subdivide(f, k)
     if not (builder.arr == target.array).all():
         raise RuntimeError("subdivision walk did not reach the subdivided map")

@@ -52,21 +52,41 @@ class Unknown:
     reason: str
 
 
-# States expanded together, by one round of numpy calls.
+# States expanded together, by one round of numpy calls: at most _CHUNK, and
+# at most _CHUNK_BYTES of their children.
 _CHUNK = 256
+_CHUNK_BYTES = 64 << 20
+
+
+def _child_bytes(w: int, h: int, npts: int) -> int:
+    """The most bytes one state's children take on a ``w`` x ``h`` pad.
+
+    At most, every interior cell takes every other label.  Per child: two
+    padded grids (the chunk's joined bytes and the child's own) and ~80 B.
+    """
+    return max(w - 2, 0) * max(h - 2, 0) * (npts - 1) * (2 * w * h + 80)
+
+
+def _chunk_states(w: int, h: int, npts: int) -> int:
+    """States per chunk on a ``w`` x ``h`` pad.
+
+    One when a single state's children pass ``_CHUNK_BYTES``.
+    """
+    return max(1, min(_CHUNK, _CHUNK_BYTES // max(_child_bytes(w, h, npts), 1)))
 
 
 def _search_bytes(f: GridMap, g: GridMap, budget: SearchBudget) -> int:
     """About the most bytes ``homotopy_decide(f, g, budget)`` holds at once.
 
-    Per child in a chunk: three padded grids (array, bytes, bytes object) and
-    ~80 B; per visited state: its grid and ~100 B of dict slot and header.
+    One chunk's children, and per visited state its grid and ~100 B of dict
+    slot and header.
     """
     w, h = budget.pad_limit or (
         max(f.rect.width, g.rect.width), max(f.rect.height, g.rect.height)
     )
-    children = _CHUNK * max(w - 2, 0) * max(h - 2, 0) * (len(f.codomain.points) - 1)
-    return children * (3 * w * h + 80) + budget.max_states * (w * h + 100)
+    npts = len(f.codomain.points)
+    chunk = _chunk_states(w, h, npts) * _child_bytes(w, h, npts)
+    return chunk + budget.max_states * (w * h + 100)
 
 
 def _expander(
@@ -79,9 +99,12 @@ def _expander(
     than p's current label, so a child differs from its parent in exactly
     one cell.
 
-    The states are taken in chunks.  For each chunk the function yields the
-    chunk, the index in it of each child's parent, and the children: by
-    parent, then cells in raster order, then labels ascending.
+    The states are taken in chunks of ``_chunk_states``.  For each chunk
+    the function yields the chunk, the index in it of each child's parent,
+    and the children: by parent, then cells in raster order, then labels
+    ascending.  The list of children is emptied when the next chunk is
+    asked for, so that at most two copies of one chunk's children are held
+    at once.
     """
     w = rect.width
     cells = np.array(
@@ -93,12 +116,13 @@ def _expander(
     # Label indices in the masks' dtype, so that shifting a mask by them stays in it.
     labels = np.arange(len(mask_arr)).astype(mask_arr.dtype)
     size = rect.width * rect.height
+    step = _chunk_states(rect.width, rect.height, len(mask_arr))
 
     def expand(
         states: list[bytes],
     ) -> Iterator[tuple[list[bytes], list[int], list[bytes]]]:
-        for lo in range(0, len(states), _CHUNK):
-            chunk = states[lo : lo + _CHUNK]
+        for lo in range(0, len(states), step):
+            chunk = states[lo : lo + step]
             arr = np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(-1, size)
             # arr.T[around] stacks the nine labels outermost, cells then states
             # inside, so the rule's reduce runs over whole contiguous slabs.
@@ -109,9 +133,11 @@ def _expander(
             kids = arr[parent]
             kids[np.arange(len(parent)), cells[cell]] = label
             flat = kids.tobytes()
-            yield chunk, parent.tolist(), [
-                flat[k : k + size] for k in range(0, len(flat), size)
-            ]
+            del kids
+            children = [flat[k : k + size] for k in range(0, len(flat), size)]
+            del flat
+            yield chunk, parent.tolist(), children
+            children.clear()
 
     return expand
 

@@ -233,6 +233,25 @@ def spider_valid(f: GridMap, mv: SpiderMove) -> bool:
     return allowed(masks, nine) >> v & 1 == 1
 
 
+def _earlier_writes(key: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """``searchsorted(key, key + step) - 1`` and ``searchsorted(key, key - step) - 1``.
+
+    ``key`` is ascending, and no two of its entries lie ``step`` apart.  One
+    stable sort of ``key`` followed by ``key + step`` merges the two sorted
+    runs, in linear time for numpy's stable sort.  Before shifted entry r it
+    puts r shifted entries and every key below ``key[r] + step``; before
+    key r, r keys and every shifted entry below it, that is one per key below
+    ``key[r] - step``.  So a rank less r + 1 indexes the last key below, or
+    is -1.
+    """
+    n = len(key)
+    rank = np.empty(2 * n, np.intp)
+    merged = np.argsort(np.concatenate((key, key + step)), kind="stable")
+    rank[merged] = np.arange(2 * n)
+    below = np.arange(1, n + 1)
+    return rank[n:] - below, rank[:n] - below
+
+
 def verify_certificate(c: Certificate) -> VerifyResult:
     """Replay a certificate from scratch and accept only a perfect run.
 
@@ -245,6 +264,16 @@ def verify_certificate(c: Certificate) -> VerifyResult:
     every move before it was legal, so by induction each read the state a
     move-by-move replay gives it.  A legal block is applied by its last
     write to each cell.
+
+    The reads come from the block's writes sorted by cell, then by move,
+    as keys ``cell * n + move``.  A move's read at cell offset d is the
+    entry just below its key moved d cells on, a hit when that entry is at
+    that cell; for d = 0 it is the previous entry.  The eight neighbour
+    offsets form four pairs {d, -d}.  One stable sort of the keys followed
+    by the keys moved d cells on merges two sorted runs, and its ranks give
+    the reads at d and at -d (``_earlier_writes``).  No key equals another
+    moved d != 0 cells on, as both would be the same move, so the ranks
+    index exactly the entries a binary search finds.
     """
     rect = c.common_rect
     w = rect.width
@@ -275,10 +304,15 @@ def verify_certificate(c: Certificate) -> VerifyResult:
         spos, sval = pos[order], v[s : s + n][order].astype(grid.dtype)
         key = spos * n + order  # ascending: by cell, then by move
         nine = np.empty((len(offsets), n), grid.dtype)  # the move's own cell first
+        # Per cell offset d, the entry just below each key moved d cells on.
+        below = {0: np.arange(-1, n - 1)}
+        for d in (1, w - 1, w, w + 1):
+            below[d], below[-d] = _earlier_writes(key, d * n)
+        cell = np.append(spos, -1)  # so that index -1 finds no write
         for i, d in enumerate(offsets):
-            j = np.searchsorted(key, key + d * n) - 1  # the last earlier write there
-            hit = (j >= 0) & (spos[j] == spos + d)
-            nine[i] = np.where(hit, sval[j], grid[spos + d])
+            j, at = below[d], spos + d
+            # The last earlier write at the cell, else the block's start grid.
+            nine[i] = np.where(cell.take(j) == at, sval.take(j), grid.take(at))
         legal = (allowed_array(mask_arr, nine) >> sval & 1).astype(bool)
         if not legal.all():
             k = int(np.argmin(np.where(legal, n, order)))  # earliest in move order

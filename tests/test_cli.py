@@ -290,18 +290,18 @@ def test_oracle_checks_its_search_bytes_before_searching(capsys, tmap, monkeypat
         budget = d.SearchBudget(pad_limit=(side, side))
         return oracle._search_bytes(grid(T_TEXT), grid(T_TEXT), budget)
 
-    # At the default --max-states, 21 x 21 is the largest square pad that fits.
-    assert need(21) <= cli._SEARCH_BYTES < need(22)
+    # At the default --max-states, 44 x 44 is the largest square pad that fits.
+    assert need(44) <= cli._SEARCH_BYTES < need(45)
     over = (
         2,
         "",
-        f"error: --pad/--max-states asks for {need(30)} bytes, "
+        f"error: --pad/--max-states asks for {need(45)} bytes, "
         f"over the budget of {cli._SEARCH_BYTES}\n",
     )
-    assert run(capsys, ["oracle", "--pad", "30x30", str(tmap), str(tmap)]) == over
+    assert run(capsys, ["oracle", "--pad", "45x45", str(tmap), str(tmap)]) == over
     # Without --pad the search pads to the larger map.
     big = tmap.parent / "big.dmap"
-    big.write_text(d.dump_map(d.constant_map(d.Rectangle(29, 29), d.S2, d.BASEPOINT)))
+    big.write_text(d.dump_map(d.constant_map(d.Rectangle(44, 44), d.S2, d.BASEPOINT)))
     assert run(capsys, ["oracle", str(big), str(tmap)]) == over
     monkeypatch.setattr(cli, "homotopy_decide", lambda f, g, budget: d.Unknown(0, "stub"))
     argv = ["oracle", str(tmap), str(tmap)]

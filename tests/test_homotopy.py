@@ -614,6 +614,33 @@ def test_verifier_checks_each_neighbor_alone(offset, written):
         len(cert) - 1)
 
 
+@pytest.mark.parametrize("block", [1, 2, 8192])
+@pytest.mark.parametrize("offset", verify._OFFSETS, ids=lambda o: f"{o[0]},{o[1]}")
+def test_verifier_reads_no_later_write_at_a_neighbor(monkeypatch, offset, block):
+    # (2, 2) goes to e2 and back to sea, then its neighbour to -e2.  Each
+    # move must read the other cell as it stands then: a read of the later
+    # -e2 would reject the first move, a read of the e2 the last.
+    monkeypatch.setattr(verify, "_VERIFY_BLOCK", block)
+    nb = (2 + offset[0], 2 + offset[1])
+    moves = [d.SpiderMove((2, 2), 1), d.SpiderMove((2, 2), 3), d.SpiderMove(nb, 4)]
+    assert d.verify_certificate(_certificate(sea(4, 4), moves)).ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 500, 8192])
+def test_earlier_writes_are_a_binary_search_on_both_sides(n):
+    # Keys as the verifier builds them, cell * n + move in ascending order,
+    # so that no two differ by a multiple of n.
+    rng = np.random.default_rng(n)
+    for cells in (2, 30, 49):
+        pos = rng.integers(0, cells, n)
+        order = np.argsort(pos, kind="stable")
+        key = pos[order] * n + order
+        for off in (1, 2, 6, 7, 8, 40):
+            up, down = verify._earlier_writes(key, off * n)
+            assert up.tolist() == (np.searchsorted(key, key + off * n) - 1).tolist()
+            assert down.tolist() == (np.searchsorted(key, key - off * n) - 1).tolist()
+
+
 def _unchecked(f, arr):
     """A fresh GridMap of f's shape holding arr, which GridMap never checked."""
     g = object.__new__(d.GridMap)

@@ -396,6 +396,24 @@ def test_i20_anchor_certificate_text_is_unchanged():
     assert digest == "b1f1dffada671d9face3d82f45dc3ea2f1d082a622ecace57683de2644483cd8"
 
 
+def test_builder_certificate_texts_are_unchanged():
+    # 40 seeded maps, sides 6 to 20, planted classes -3 to 3, four of them at
+    # k = 7.  The digest was taken at commit d3948de, before the subdivision
+    # walks shifted only the span that holds content.
+    digest = hashlib.sha256()
+    for i in range(40):
+        m, n = 6 + i % 15, 6 + 7 * i % 15
+        top = (min(m, n) + 1) // 5
+        plant = max(-top, min(top, i % 7 - 3))
+        k = 7 if i % 10 == 9 else 5
+        c, cert = d.pi2_class(d.gen_random(i, m, n, 3 * m, plant), k)
+        assert c == plant
+        digest.update(d.dump_certificate(cert).encode())
+    assert digest.hexdigest() == (
+        "b37e0df72b5a9423488ce14c3f18fc65325373d960ec52bd250d759b43428da3"
+    )
+
+
 def test_pi2_class_shift_walks_make_no_window_check(monkeypatch):
     # On the I_40 anchor the walks make 13,280 line copies; each is checked by
     # the line-copy rule, so every window check comes from a lone rewrite or

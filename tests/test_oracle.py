@@ -286,3 +286,33 @@ def test_search_bytes_bound_what_one_chunk_and_its_states_take(T):
         tracemalloc.stop()
     need = oracle._search_bytes(T, T, d.SearchBudget(pad_limit=(8, 8), max_states=1))
     assert children > 10_000 and peak <= need
+
+
+def test_a_chunk_is_sized_by_the_bytes_of_its_children(T, monkeypatch):
+    # Every pad up to 13 x 13 keeps whole chunks of 256 states.  A 30 x 30
+    # pad's chunk is well below that, so at a small state cap its search
+    # stays under 2^30 bytes, where 256 of its states' children alone would
+    # pass it.  One state's children may pass the cap alone; a chunk is then
+    # one state.
+    for side in range(3, 14):
+        assert oracle._chunk_states(side, side, 6) == oracle._CHUNK
+    assert oracle._chunk_states(30, 30, 6) <= 16
+    assert oracle._CHUNK * oracle._child_bytes(30, 30, 6) > 2**30
+    budget = d.SearchBudget(pad_limit=(30, 30), max_states=1000)
+    assert oracle._search_bytes(T, T, budget) < 2**30
+    assert oracle._chunk_states(100, 100, 6) == 1
+    # With a 16 MiB cap a 30 x 30 pad goes two states at a time, and each
+    # chunk peaks below the cap under tracemalloc.
+    monkeypatch.setattr(oracle, "_CHUNK_BYTES", 16 << 20)
+    expand = oracle._expander(d.Rectangle(29, 29), T.codomain)
+    states = [d.trivial_extend(T, 29, 29).values] * 5
+    sizes = []
+    tracemalloc.start()
+    try:
+        for chunk, _, kids in expand(states):
+            sizes.append((len(chunk), len(kids)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s for s, _ in sizes] == [2, 2, 1]
+    assert sum(n for _, n in sizes) > 10_000 and peak <= oracle._CHUNK_BYTES

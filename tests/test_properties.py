@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import dpi2 as d
 from dpi2 import verify
 from dpi2.formats import _scan_moves
+from dpi2.grid import allowed
 from dpi2.homotopy import _TraceBuilder
 from dpi2.normalize import _emit_subdivision
 
@@ -458,3 +459,35 @@ def test_blocked_verifier_matches_a_move_by_move_replay(cert):
             mp.setattr(verify, "_VERIFY_BLOCK", block)
             res = d.verify_certificate(cert)
         assert (res.ok, res.reason, res.move_index) == want, block
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blocked_verifier_matches_a_replay_on_one_busy_patch(seed):
+    # 3,000 moves in one block, all on the 3 x 3 interior of I_4: round
+    # after round, cells in descending raster order, each to a random label
+    # other than its own that is legal there, if one is.  Each move reads
+    # neighbours written just before it and rewritten just after it.
+    rng = np.random.default_rng(seed)
+    start = d.constant_map(d.Rectangle(4, 4), d.S2, d.BASEPOINT)
+    cur = np.array(start.array)
+    masks = d.S2.adjacency_masks
+    moves = []
+    while len(moves) < 3000:
+        for b in (3, 2, 1):
+            for a in (3, 2, 1):
+                ok = allowed(masks, cur[b - 1 : b + 2, a - 1 : a + 2].ravel().tolist())
+                labels = [v for v in LABELS if ok >> v & 1 and v != cur[b, a]]
+                cur[b, a] = rng.choice(labels or [cur[b, a]])
+                moves.append(d.SpiderMove((a, b), int(cur[b, a])))
+    assert len(moves) < verify._VERIFY_BLOCK
+    end = d.from_array(cur, d.S2, d.BASEPOINT)
+    cert = d.Certificate(start=start, moves=moves, end=end)
+    certs = [cert]
+    for i in rng.integers(0, len(moves), 5).tolist():
+        tampered = list(moves)
+        tampered[i] = d.SpiderMove(moves[i].at, (moves[i].new_value + 3) % len(LABELS))
+        certs.append(dataclasses.replace(cert, moves=tampered))
+    for c in certs:
+        res = d.verify_certificate(c)
+        assert (res.ok, res.reason, res.move_index) == _move_by_move(c)
+    assert d.verify_certificate(cert).ok
