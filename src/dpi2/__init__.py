@@ -42,10 +42,8 @@ from .verify import (
 )
 from .homotopy import apply_spider, decompose_one_step, doubling_trace, flood
 from .normalize import (
-    Island,
     cancel_certificate,
     canonical_stack,
-    classify_island,
     find_islands,
     isolate_e1,
     pi2_class,
@@ -70,7 +68,6 @@ __all__ = [
     "Equivalent",
     "Explicit",
     "GridMap",
-    "Island",
     "LatticeCq",
     "ParseError",
     "Rectangle",
@@ -89,7 +86,6 @@ __all__ = [
     "border_wrap",
     "cancel_certificate",
     "canonical_stack",
-    "classify_island",
     "constant_map",
     "decompose_one_step",
     "degree_one_map",

@@ -115,7 +115,12 @@ class TokenTable:
         """Point index for a token, or None if the token is unknown."""
         idx = self.indices.get(token)
         if idx is None and self.sphere_n is None and re.fullmatch(r"\d+", token):
-            idx = int(token)
+            # Zeros aside, a decimal longer than the point count is past the
+            # last point; int() would refuse one of over 4,300 digits.
+            digits = token.lstrip("0") or "0"
+            if len(digits) > len(str(len(self.tokens))):
+                return None
+            idx = int(digits)
             return idx if idx < len(self.tokens) else None
         return idx
 

@@ -5,18 +5,18 @@ four certified stages: inflate the map to a subdivision where every cell
 carrying the label antipodal to the basepoint is far from the others, wash
 the surroundings flat with three floods, reduce each surviving 3x3 islet to
 one of two canonical stamps (or erase it), then slide the stamps into a
-diagonal stack and cancel opposite pairs.  The net stamp count is the class;
-every stage ships spider moves into one replayable certificate.
+diagonal stack and cancel opposite pairs.  An islet's class (+1, -1 or 0)
+is read off its four side labels alone, and the net stamp count is the
+class of the map; every stage ships spider moves into one replayable
+certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .degree import degree_one_map, triangle_count
-from .grid import Rectangle, allowed_grid, mask_array
+from .grid import Rectangle
 from .gridmap import (
     GridMap,
     SubRect,
@@ -33,40 +33,9 @@ from .verify import Certificate
 _E1 = antipode(BASEPOINT)  # the label opposite the basepoint (index 0)
 _SEA = BASEPOINT
 
-# Ring offsets around a center, counter-clockwise starting east.
-_RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
-
 # Canonical four-value forms, read as (west, south, east, north) of the center.
 _PLUS_FORM = (1, 2, 4, 5)
 _MINUS_PREFLIP = (4, 2, 1, 5)
-
-
-@dataclass(frozen=True)
-class Island:
-    """An isolated center cell plus the labels of its eight neighbors.
-
-    ``ring`` runs counter-clockwise from the cell east of the center.
-    """
-
-    center: tuple[int, int]
-    ring: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ring", tuple(int(v) for v in self.ring))
-        if len(self.ring) != 8:
-            raise ValueError("island ring must list exactly eight labels")
-        for v in self.ring:
-            if not 0 <= v < 6:
-                raise ValueError(f"ring label {v} outside the sphere")
-            if v in (_E1, _SEA):
-                raise ValueError("ring labels may not be the poles (+-e1)")
-        # e1 touches every ring label, so the ring is fine iff the 3x3 block
-        # around the island is continuous.
-        block = np.full((3, 3), _E1, dtype=np.uint8)
-        for (da, db), v in zip(_RING, self.ring):
-            block[1 + db, 1 + da] = v
-        if not (allowed_grid(mask_array(S2.adjacency_masks), block) >> block & 1).all():
-            raise ValueError("ring labels on adjacent cells are not adjacent")
 
 
 def canonical_stack(c: int, rect: Rectangle) -> GridMap:
@@ -243,43 +212,22 @@ def isolate_e1(f: GridMap, k: int) -> tuple[GridMap, Certificate]:
 # Island discovery and classification.
 
 
-def find_islands(g: GridMap) -> list[Island]:
-    """All islands of an isolated map, in raster order of their centers."""
+def find_islands(g: GridMap) -> list[tuple[int, int]]:
+    """The island centers (a, b) of an isolated map, in raster order."""
     if g.codomain != S2:
         raise ValueError("islands are defined for maps into the 6-point sphere")
     if g.basepoint != _SEA:
         raise ValueError("island search expects the basepoint -e1")
-    arr = g.array
-    pts, pair, stray = _island_spacing(arr, 4)
+    pts, pair, stray = _island_spacing(g.array, 4)
     if pair:
         raise ValueError(f"island centers {pair[0]} and {pair[1]} closer than 4 apart")
     if stray:
         raise ValueError(f"non-sea cell {stray} outside every island")
-    islands = []
-    for a, b in pts:
-        ring = tuple(int(arr[b + db, a + da]) for da, db in _RING)
-        islands.append(Island(center=(a, b), ring=ring))
-    return islands
+    return [(a, b) for a, b in pts]
 
 
-def classify_island(island: Island) -> int:
-    """The local contribution of one island: -1, 0, or +1."""
-    arr = np.full((5, 5), _SEA, dtype=np.uint8)
-    arr[2, 2] = _E1
-    for (da, db), v in zip(_RING, island.ring):
-        arr[2 + db, 2 + da] = v
-    d = triangle_count(from_array(arr, S2, _SEA))
-    if d not in (-1, 0, 1):
-        raise RuntimeError(f"island classification out of range: {d}")
-    return d
-
-
-# ---------------------------------------------------------------------------
-# Island reduction: corner moves, rotation, mirror flips, erasure.
-
-
-def _island_form(builder: _TraceBuilder, cx: int, cy: int) -> tuple[int, int, int, int]:
-    arr = builder.arr
+def _island_form(arr: np.ndarray, cx: int, cy: int) -> tuple[int, int, int, int]:
+    """The (west, south, east, north) side labels of the island at (cx, cy)."""
     return (
         int(arr[cy, cx - 1]),
         int(arr[cy - 1, cx]),
@@ -302,6 +250,25 @@ def _rotations_to(
     return None
 
 
+def classify_island(form: tuple[int, int, int, int]) -> int:
+    """The local contribution of one island, from its side labels (W, S, E, N).
+
+    The corner moves keep the four sides and fill each corner from them, so
+    the class depends on the sides alone: 0 unless all four differ, +1 for a
+    rotation of the plus form, -1 for a rotation of the pre-flip minus form.
+    """
+    if len(set(form)) < 4:
+        return 0
+    for cls, target in ((1, _PLUS_FORM), (-1, _MINUS_PREFLIP)):
+        if _rotations_to(form, target) is not None:
+            return cls
+    raise RuntimeError(f"island form {form} is neither null nor a rotated stamp")
+
+
+# ---------------------------------------------------------------------------
+# Island reduction: corner moves, rotation, mirror flips, erasure.
+
+
 def _corner_moves(builder: _TraceBuilder, cx: int, cy: int) -> None:
     """Overwrite the four ring corners with their side-neighbor labels."""
     arr = builder.arr
@@ -317,7 +284,7 @@ def _corner_moves(builder: _TraceBuilder, cx: int, cy: int) -> None:
 
 def _erase_island(builder: _TraceBuilder, cx: int, cy: int) -> None:
     """Remove a null island: wash the 3x3 block by an unused label's antipode."""
-    form = _island_form(builder, cx, cy)
+    form = _island_form(builder.arr, cx, cy)
     missing = next((v for v in (1, 2, 4, 5) if v not in form), None)
     if missing is None:
         raise RuntimeError("null island carries all four equatorial labels")
@@ -339,7 +306,7 @@ def _rotate_island(builder: _TraceBuilder, cx: int, cy: int) -> None:
     top = int(nonsea.max())
     if top > n - 2:
         raise ValueError("no vertical headroom to rotate an island")
-    x, y, z, w = _island_form(builder, cx, cy)
+    x, y, z, w = _island_form(builder.arr, cx, cy)
     builder.shift("b", cy + 1, top + 1, 1)
     for (a, b), v in (
         ((cx - 1, cy + 2), w),
@@ -373,7 +340,7 @@ def _reduce_island(builder: _TraceBuilder, cx: int, cy: int, cls: int) -> None:
     if cls == 0:
         _erase_island(builder, cx, cy)
         return
-    form = _island_form(builder, cx, cy)
+    form = _island_form(builder.arr, cx, cy)
     target = _PLUS_FORM if cls > 0 else _MINUS_PREFLIP
     r = _rotations_to(form, target)
     if r is None:
@@ -490,17 +457,13 @@ def pi2_class(f: GridMap, k: int = 5) -> tuple[int, Certificate]:
         raise ValueError("classification expects the basepoint -e1")
     d_in = triangle_count(f)
     g1, cert1 = isolate_e1(f, k)
-    islands = find_islands(g1)
-    classes = [classify_island(isl) for isl in islands]
+    centers = find_islands(g1)
+    classes = [classify_island(_island_form(g1.array, a, b)) for a, b in centers]
     if sum(classes) != d_in:
         raise RuntimeError(
             f"island classes sum to {sum(classes)}, triangle count is {d_in}"
         )
-    entries = [
-        (isl.center[0], isl.center[1], cls)
-        for isl, cls in zip(islands, classes)
-        if cls != 0
-    ]
+    entries = [(a, b, cls) for (a, b), cls in zip(centers, classes) if cls != 0]
     ms, ns = g1.rect.m, g1.rect.n
     s = abs(d_in)
     if entries:
@@ -509,8 +472,8 @@ def pi2_class(f: GridMap, k: int = 5) -> tuple[int, Certificate]:
     else:
         wfin, hfin = ms, ns
     builder = _TraceBuilder(trivial_extend(g1, wfin, hfin))
-    for isl, cls in zip(islands, classes):
-        _reduce_island(builder, isl.center[0], isl.center[1], cls)
+    for (a, b), cls in zip(centers, classes):
+        _reduce_island(builder, a, b, cls)
     if entries:
         _arrange_and_cancel(builder, entries, d_in)
     expected = canonical_stack(d_in, builder.rect)

@@ -37,6 +37,8 @@ REMOVED = (
     "degree_minus_one_map",
     "render_ascii",
     "render_svg",
+    "Island",
+    "classify_island",
 )
 
 

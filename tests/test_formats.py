@@ -149,6 +149,40 @@ def test_non_sphere_codomains_use_decimal_tokens():
         d.load_map(bad, codomain=img)
 
 
+def _path3():
+    return d.DigitalImage(
+        name="path3",
+        points=((0,), (1,), (2,)),
+        adjacency=d.Explicit.from_pairs([(0, 1), (1, 2)]),
+    )
+
+
+# Longer than the 4,300 digits int() converts by default.
+HUGE_TOKEN = "1" * 5000
+
+
+def test_load_map_names_an_oversized_label_token():
+    img = _path3()
+    doc = d.dump_map(d.constant_map(d.Rectangle(2, 2), img, 1))
+    table = TokenTable(img)
+    assert table.index(HUGE_TOKEN) is None
+    assert table.index("0" * 5000 + "2") == 2
+    with pytest.raises(ParseError, match="unknown label token") as ei:
+        d.load_map(doc.replace("1 1 1", f"1 {HUGE_TOKEN} 1", 1), codomain=img)
+    assert (ei.value.line, ei.value.col) == (2, 3)
+
+
+def test_load_certificate_names_an_oversized_move_token():
+    img = _path3()
+    f = d.constant_map(d.Rectangle(2, 2), img, 1)
+    there_and_back = (d.SpiderMove((1, 1), 2), d.SpiderMove((1, 1), 1))
+    doc = d.dump_certificate(d.Certificate(start=f, moves=there_and_back, end=f))
+    assert "S 1 1 2\n" in doc
+    with pytest.raises(ParseError, match="unknown label token") as ei:
+        d.load_certificate(doc.replace("S 1 1 2\n", f"S 1 1 {HUGE_TOKEN}\n", 1), codomain=img)
+    assert ei.value.line == doc.splitlines().index("S 1 1 2") + 1
+
+
 def test_certificate_roundtrip(T):
     cls, cert = d.pi2_class(T)
     doc = d.dump_certificate(cert)

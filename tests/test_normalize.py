@@ -91,9 +91,8 @@ def test_isolate_balanced_pair(T, T_inv):
     assert d.verify_certificate(cert).ok
     assert d.triangle_count(g) == 0
     centers = isolation_postconditions(g)
-    islands = d.find_islands(g)
-    assert len(islands) == len(centers)
-    vals = sorted(d.classify_island(i) for i in islands)
+    assert d.find_islands(g) == centers
+    vals = [normalize.classify_island(sides(g.array, a, b)) for a, b in centers]
     assert sum(vals) == 0
 
 
@@ -110,14 +109,24 @@ def island_map(ring):
     return d.from_array(f, d.S2, d.BASEPOINT)
 
 
+def sides(arr, a, b):
+    """The (west, south, east, north) labels around the cell (a, b)."""
+    return tuple(int(arr[b + db, a + da]) for da, db in ((-1, 0), (0, -1), (1, 0), (0, 1)))
+
+
+def ring_sides(ring):
+    """The (west, south, east, north) entries of a CCW ring that starts east."""
+    return ring[4], ring[6], ring[0], ring[2]
+
+
 def test_find_islands_locates_centers(T):
     arr = d.constant_map(d.Rectangle(10, 10), d.S2, d.BASEPOINT).array.copy()
     arr[0:5, 0:5] = arr[5:10, 5:10] = T.array
     g = d.from_array(arr, d.S2, d.BASEPOINT)
-    islands = d.find_islands(g)
-    assert sorted(i.center for i in islands) == [(2, 2), (7, 7)]
-    for i in islands:
-        assert d.classify_island(i) == 1
+    centers = d.find_islands(g)
+    assert centers == [(2, 2), (7, 7)]
+    for a, b in centers:
+        assert normalize.classify_island(sides(g.array, a, b)) == 1
 
 
 def test_find_islands_empty_for_constant():
@@ -139,10 +148,10 @@ def test_find_islands_rejects_crowded_poles():
 
 
 def test_find_islands_reads_the_reference_stamp(T):
-    islands = d.find_islands(T)
-    assert len(islands) == 1
-    assert islands[0].center == (2, 2)
-    assert islands[0].ring == (4, 5, 5, 1, 1, 2, 2, 4)
+    # The plus form is read off the degree-one stamp itself.
+    assert T.values == d.degree_one_map().values
+    assert d.find_islands(T) == [(2, 2)]
+    assert sides(T.array, 2, 2) == (1, 2, 4, 5) == normalize._PLUS_FORM
 
 
 def test_find_islands_rejects_stray_equator_cells():
@@ -198,70 +207,64 @@ def test_classify_island_plus_forms():
     # the four 90-degree rotations of the reference stamp, as (W, S, E, N)
     for x, y, z, w in ((1, 2, 4, 5), (5, 1, 2, 4), (4, 5, 1, 2), (2, 4, 5, 1)):
         ring = (z, w, w, x, x, y, y, z)
-        assert d.classify_island(d.Island((2, 2), ring)) == 1
+        assert normalize.classify_island(ring_sides(ring)) == 1
         mirror = tuple(reversed(ring))
         mirror = mirror[-1:] + mirror[:-1]  # keep east first after reversal
-        assert d.classify_island(d.Island((2, 2), mirror)) == -1
+        assert normalize.classify_island(ring_sides(mirror)) == -1
 
 
 def test_classify_island_winding_zero_ring():
-    assert d.classify_island(d.Island((2, 2), (1,) * 8)) == 0
+    assert normalize.classify_island(ring_sides((1,) * 8)) == 0
     # out-and-back excursion: three labels, zero net winding
-    assert d.classify_island(d.Island((2, 2), (1, 2, 2, 2, 1, 5, 5, 5))) == 0
+    assert normalize.classify_island(ring_sides((1, 2, 2, 2, 1, 5, 5, 5))) == 0
+    # four labels with antipodes side by side bound no island
+    with pytest.raises(RuntimeError, match=r"^island form \(1, 4, 2, 5\) is neither"):
+        normalize.classify_island((1, 4, 2, 5))
 
 
-def test_island_ring_validation():
-    with pytest.raises(ValueError):
-        d.Island((2, 2), (1,) * 7)  # wrong length
-    with pytest.raises(ValueError):
-        d.Island((2, 2), (0,) + (1,) * 7)  # pole label in the ring
-    with pytest.raises(ValueError):
-        d.Island((2, 2), (1, 4, 1, 4, 1, 4, 1, 4))  # antipodal neighbors
-    with pytest.raises(ValueError):
-        # consecutive entries fine, but opposite edges E/N clash across corner
-        d.Island((2, 2), (1, 2, 4, 2, 1, 2, 4, 2))
+def continuous_rings():
+    """Every ring of equatorial labels around an e1 center that is continuous.
 
-
-def test_island_ring_check_matches_the_twelve_pair_checks():
-    # The reference: consecutive ring cells are 8-adjacent, and so are the
-    # edge cells on either side of a corner (E and N, N and W, ...).
+    The twelve pair checks: consecutive ring cells are 8-adjacent, and so
+    are the edge cells on either side of a corner (E and N, N and W, ...).
+    """
     amat = d.S2.adjacency_matrix
-    verdicts = {True: 0, False: 0}
     for ring in itertools.product((1, 2, 4, 5), repeat=8):
-        want = all(amat[ring[i], ring[(i + 1) % 8]] for i in range(8)) and all(
+        if all(amat[ring[i], ring[(i + 1) % 8]] for i in range(8)) and all(
             amat[ring[i], ring[(i + 2) % 8]] for i in (0, 2, 4, 6)
-        )
-        try:
-            d.Island((2, 2), ring)
-            got = True
-        except ValueError:
-            got = False
-        assert got == want, ring
-        verdicts[want] += 1
-    assert min(verdicts.values()) > 1000
+        ):
+            yield ring
 
 
-def test_classify_matches_triangle_count_on_random_islands():
-    import random
+def test_classify_matches_triangle_count_on_every_island():
+    counts = {-1: 0, 0: 0, 1: 0}
+    for ring in continuous_rings():
+        got = normalize.classify_island(ring_sides(ring))
+        assert got == d.triangle_count(island_map(ring)), ring
+        counts[got] += 1
+    assert counts == {-1: 64, 0: 2436, 1: 64}
 
-    rng = random.Random(5)
-    amat = d.S2.adjacency_matrix
-    eq = [1, 2, 4, 5]
-    hits = set()
-    for _ in range(300):
-        ring = [rng.choice(eq)]
-        while len(ring) < 8:
-            ring.append(rng.choice([v for v in eq if amat[ring[-1], v]]))
-        if not amat[ring[-1], ring[0]]:
-            continue
-        try:
-            isl = d.Island((2, 2), tuple(ring))
-        except ValueError:
-            continue
-        got = d.classify_island(isl)
-        assert got == d.triangle_count(island_map(ring))
-        hits.add(got)
-    assert {-1, 0, 1} <= hits
+
+def test_pi2_class_counts_triangles_once(monkeypatch):
+    # The island classes come from side labels; the one triangle count of
+    # the input is the guard their sum must meet.
+    counts, islands = [], []
+    count, find = normalize.triangle_count, normalize.find_islands
+
+    def counted(f):
+        counts.append(f.rect)
+        return count(f)
+
+    def found(g):
+        islands.extend(find(g))
+        return islands
+
+    monkeypatch.setattr(normalize, "triangle_count", counted)
+    monkeypatch.setattr(normalize, "find_islands", found)
+    f = d.gen_random(9, 60, 60, 60000, 3)
+    c, _ = d.pi2_class(f)
+    assert (c, len(islands)) == (3, 42)
+    assert counts == [f.rect]
 
 
 def _count_reductions(monkeypatch) -> dict[str, int]:
