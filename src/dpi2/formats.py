@@ -84,7 +84,7 @@ def _parse_size(w_token: str, h_token: str, line: int) -> tuple[int, int]:
 
 def _sphere_n(codomain: DigitalImage) -> int | None:
     """The n for which this codomain is exactly the standard n-sphere."""
-    m = re.fullmatch(r"S([1-9]\d*)", codomain.name)
+    m = re.fullmatch(r"S([1-9][0-9]*)", codomain.name)
     if m and codomain == make_sphere(int(m.group(1))):
         return int(m.group(1))
     return None
@@ -114,7 +114,7 @@ class TokenTable:
     def index(self, token: str) -> int | None:
         """Point index for a token, or None if the token is unknown."""
         idx = self.indices.get(token)
-        if idx is None and self.sphere_n is None and re.fullmatch(r"\d+", token):
+        if idx is None and self.sphere_n is None and re.fullmatch(r"[0-9]+", token):
             # Zeros aside, a decimal longer than the point count is past the
             # last point; int() would refuse one of over 4,300 digits.
             digits = token.lstrip("0") or "0"
@@ -133,7 +133,7 @@ def _resolve_codomain(name: str, provided: DigitalImage | None, line: int) -> Di
                 line,
             )
         return provided
-    m = re.fullmatch(r"S([1-9]\d*)", name)
+    m = re.fullmatch(r"S([1-9][0-9]*)", name)
     if m:
         return make_sphere(int(m.group(1)))
     raise ParseError(

@@ -5,12 +5,28 @@ nothing about degrees, islands, or normalization.  Both maps are trivially
 extended to one padding rectangle and the search walks the graph whose
 vertices are continuous based maps and whose edges are single spider moves.
 That graph is undirected (undoing a move is itself a legal move), so one
-breadth-first search grows from each map, and each round expands the smaller
-frontier by one whole level (Pohl, "Bi-directional search", 1971).  The first
-state both searches reach joins them into a shortest certificate within that
-padding.  The state cap counts the states of both searches together.
-Exhausting the cap, or either map's component, proves nothing, which the
-result type states honestly.
+search grows from each map.
+
+First f's root and then g's root are expanded once each, breadth first, and
+the first state both searches reach joins them.  That decides every pair at
+most two moves apart, with the same certificate as a plain bidirectional
+breadth-first search (Pohl, "Bi-directional search", 1971).
+
+After that each side runs A* (Hart, Nilsson and Raphael, 1968) toward the
+other side's root t, with h(s) = sum over cells of dist(s[c], t[c]), dist
+being the graph distance in the codomain.  A move relabels one cell to a
+label adjacent to its old one, so it changes h by at most 1: h is a
+consistent lower bound, and a state is expanded only once its distance from
+its root is known.  Each round expands the least g + h bucket of the side
+with fewer open states.  Any path not yet found passes an open state of each
+side, so it is at least as long as the larger of the two sides' least
+g + h.  A meeting no longer than that is a shortest certificate within the
+padding (the front-to-end test of Holte, Felner, Sharon and Sturtevant,
+"Bidirectional search that is guaranteed to meet in the middle", 2016).
+
+The state cap counts the states of both searches together.  Exhausting the
+cap, or either map's component, proves nothing, which the result type states
+honestly.
 """
 
 from __future__ import annotations
@@ -79,7 +95,7 @@ def _search_bytes(f: GridMap, g: GridMap, budget: SearchBudget) -> int:
     """About the most bytes ``homotopy_decide(f, g, budget)`` holds at once.
 
     One chunk's children, and per visited state its grid and ~100 B of dict
-    slot and header.
+    slot, open-bucket entry and header.
     """
     w, h = budget.pad_limit or (
         max(f.rect.width, g.rect.width), max(f.rect.height, g.rect.height)
@@ -89,9 +105,33 @@ def _search_bytes(f: GridMap, g: GridMap, budget: SearchBudget) -> int:
     return chunk + budget.max_states * (w * h + 100)
 
 
-def _expander(
-    rect: Rectangle, codomain: DigitalImage
-) -> Callable[[list[bytes]], Iterator[tuple[list[bytes], list[int], list[bytes]]]]:
+def _distances(codomain: DigitalImage) -> np.ndarray:
+    """Graph distances between the codomain's points, by BFS over the masks.
+
+    Points in different components are ``len(points)`` apart.
+    """
+    masks = codomain.adjacency_masks
+    n = len(masks)
+    dist = np.full((n, n), n, dtype=np.intp)
+    for a in range(n):
+        reached = ring = 1 << a
+        k = 0
+        while ring:
+            near = 0
+            for p in range(n):
+                if ring >> p & 1:
+                    dist[a, p] = k
+                    near |= masks[p]
+            ring = near & ~reached
+            reached |= near
+            k += 1
+    return dist
+
+
+_Expand = Callable[..., Iterator[tuple]]
+
+
+def _expander(rect: Rectangle, codomain: DigitalImage) -> _Expand:
     """Return a function that lists the children of a list of states.
 
     A child is a state one spider move away: label v goes to interior cell
@@ -102,9 +142,11 @@ def _expander(
     The states are taken in chunks of ``_chunk_states``.  For each chunk
     the function yields the chunk, the index in it of each child's parent,
     and the children: by parent, then cells in raster order, then labels
-    ascending.  The list of children is emptied when the next chunk is
-    asked for, so that at most two copies of one chunk's children are held
-    at once.
+    ascending.  Given ``toward``, a table of ``dist(v, t[p])`` by label v
+    and flat cell p, it also yields how much each child's move changes
+    ``sum dist(s[p], t[p])``.  The list of children is emptied when the next
+    chunk is asked for, so that at most two copies of one chunk's children
+    are held at once.
     """
     w = rect.width
     cells = np.array(
@@ -118,9 +160,7 @@ def _expander(
     size = rect.width * rect.height
     step = _chunk_states(rect.width, rect.height, len(mask_arr))
 
-    def expand(
-        states: list[bytes],
-    ) -> Iterator[tuple[list[bytes], list[int], list[bytes]]]:
+    def expand(states: list[bytes], toward: np.ndarray | None = None) -> Iterator[tuple]:
         for lo in range(0, len(states), step):
             chunk = states[lo : lo + step]
             arr = np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(-1, size)
@@ -130,13 +170,18 @@ def _expander(
             parent, cell, label = np.nonzero(
                 allowed >> labels & (labels != arr[:, cells, None])
             )
+            pos = cells[cell]
             kids = arr[parent]
-            kids[np.arange(len(parent)), cells[cell]] = label
+            kids[np.arange(len(parent)), pos] = label
             flat = kids.tobytes()
             del kids
             children = [flat[k : k + size] for k in range(0, len(flat), size)]
             del flat
-            yield chunk, parent.tolist(), children
+            if toward is None:
+                yield chunk, parent.tolist(), children
+            else:
+                gain = toward[label, pos] - toward[arr[parent, pos], pos]
+                yield chunk, parent.tolist(), children, gain.tolist()
             children.clear()
 
     return expand
@@ -145,7 +190,13 @@ def _expander(
 def homotopy_decide(
     f: GridMap, g: GridMap, budget: SearchBudget | None = None
 ) -> Equivalent | Unknown:
-    """Search for a spider-move path from f to g over one padded rectangle."""
+    """Search for a shortest spider-move path from f to g over one padded rectangle.
+
+    f's root and then g's root are expanded breadth first; then both sides
+    run A* on the label-distance bound until a meeting is proved shortest,
+    a side's component runs out, or the two sides hold ``max_states``
+    states.  The module docstring gives the argument.
+    """
     if budget is None:
         budget = SearchBudget()
     if f.codomain != g.codomain:
@@ -166,55 +217,120 @@ def homotopy_decide(
     rect = Rectangle(pad_w - 1, pad_h - 1)
     f0 = trivial_extend(f, rect.m, rect.n)
     g0 = trivial_extend(g, rect.m, rect.n)
-    start, target = f0.values, g0.values
-    if start == target:
+    roots = (f0.values, g0.values)
+    if roots[0] == roots[1]:
         return Equivalent(Certificate(start=f0, moves=(), end=f0))
 
     expand = _expander(rect, f.codomain)
-    # Per side (0 grows from f, 1 from g): each visited state's parent, one
-    # move nearer the side's root, which has none; and the newest level.
-    visited: tuple[dict[bytes, bytes | None], ...] = ({start: None}, {target: None})
-    frontiers = [[start], [target]]
+    # Per side (0 grows from f, 1 from g): each visited state's g, the fewest
+    # moves from the side's root found so far.
+    seen: tuple[dict[bytes, int], ...] = ({roots[0]: 0}, {roots[1]: 0})
     room = budget.max_states - 2
-    while True:
-        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        own, other = visited[side], visited[1 - side]
-        level: list[bytes] = []
-        for chunk, parents, children in expand(frontiers[side]):
-            for k, child in zip(parents, children):
-                if child in own:
-                    continue
+    # The root expansions: any meeting here is at most two moves long, so
+    # it is shortest.
+    levels = []
+    for side in (0, 1):
+        own, other = seen[side], seen[1 - side]
+        level = []
+        for _, _, children in expand([roots[side]]):
+            for child in children:
                 if child in other:
-                    own[child] = chunk[k]
-                    return Equivalent(_certificate(f0, g0, child, *visited))
+                    own[child] = 1
+                    return Equivalent(_certificate(f0, g0, child, seen, expand))
                 if room <= 0:
                     return Unknown(len(own) + len(other), "state budget exhausted")
                 room -= 1
-                own[child] = chunk[k]
+                own[child] = 1
                 level.append(child)
         if not level:
             return Unknown(len(own) + len(other), "component exhausted within padding")
-        frontiers[side] = level
+        levels.append(level)
+
+    # A*: per side, the open states in buckets keyed by g + h, h heading for
+    # the other side's root.  An entry left behind when a state's g improves
+    # is stale; it re-expands into children that improve nothing.
+    dist = _distances(f.codomain)
+    heads = [np.frombuffer(roots[1 - side], dtype=np.uint8) for side in (0, 1)]
+    toward = [dist[:, head] for head in heads]
+    opened: list[dict[int, list[bytes]]] = []
+    for level, head in zip(levels, heads):
+        arr = np.frombuffer(b"".join(level), dtype=np.uint8).reshape(len(level), -1)
+        buckets: dict[int, list[bytes]] = {}
+        for state, h in zip(level, dist[arr, head].sum(axis=1).tolist()):
+            buckets.setdefault(1 + h, []).append(state)
+        opened.append(buckets)
+    sizes = [len(level) for level in levels]
+    best: tuple[int, bytes] | None = None  # the shortest meeting found: its length and state
+    while opened[0] and opened[1]:
+        lows = [min(opened[0]), min(opened[1])]
+        bound = max(lows)  # no path not yet found is shorter
+        if best is not None and best[0] <= bound:
+            break
+        side = 0 if sizes[0] <= sizes[1] else 1
+        own, other = seen[side], seen[1 - side]
+        batch = opened[side].pop(lows[side])
+        sizes[side] -= len(batch)
+        # A child's h is its parent's plus the gain, -1, 0 or +1, so its
+        # g + h is the bucket's plus 0, 1 or 2.
+        grown: list[list[bytes]] = [[], [], []]
+        for chunk, parents, children, gains in expand(batch, toward[side]):
+            depth = [own[state] + 1 for state in chunk]
+            for k, child, gain in zip(parents, children, gains):
+                g1 = depth[k]
+                was = own.get(child)
+                if was is not None and was <= g1:
+                    continue
+                there = other.get(child)
+                if there is not None and (best is None or g1 + there < best[0]):
+                    best = (g1 + there, child)
+                    if best[0] <= bound:
+                        own[child] = g1
+                        return Equivalent(_certificate(f0, g0, child, seen, expand))
+                if was is None:
+                    if room <= 0:
+                        return Unknown(len(own) + len(other), "state budget exhausted")
+                    room -= 1
+                own[child] = g1
+                grown[gain + 1].append(child)
+        for k, kids in enumerate(grown):
+            if kids:
+                opened[side].setdefault(lows[side] + k, []).extend(kids)
+                sizes[side] += len(kids)
+    # The loop ends on a proved meeting, or when a side's component is spent:
+    # every state of it then has its least g, the other root's among them.
+    if best is None:
+        return Unknown(sum(map(len, seen)), "component exhausted within padding")
+    return Equivalent(_certificate(f0, g0, best[1], seen, expand))
+
+
+def _descent(expand: _Expand, seen: dict[bytes, int], state: bytes) -> list[bytes]:
+    """A path of ``seen[state]`` moves from state to its side's root.
+
+    Each step takes the first child whose g is one less: the state that set
+    a g was expanded with one less, and an expanded state's g is final.  A
+    state at g 1 is the root's child, so it needs no expansion.
+    """
+    path = [state]
+    for k in range(seen[state] - 1, 0, -1):
+        for _, _, children in expand([state]):
+            state = next(c for c in children if seen.get(c) == k)
+        path.append(state)
+    if seen[state]:
+        path.append(next(iter(seen)))  # the root, inserted first
+    return path
 
 
 def _certificate(
     f0: GridMap,
     g0: GridMap,
     meet: bytes,
-    fwd: dict[bytes, bytes | None],
-    bwd: dict[bytes, bytes | None],
+    seen: tuple[dict[bytes, int], ...],
+    expand: _Expand,
 ) -> Certificate:
-    """The path start -> meet along fwd parents, then meet -> target along bwd."""
-    path = []
-    state: bytes | None = meet
-    while state is not None:
-        path.append(state)
-        state = fwd[state]
+    """The path start -> meet down the forward g, then meet -> target down the backward g."""
+    path = _descent(expand, seen[0], meet)
     path.reverse()
-    state = bwd[meet]
-    while state is not None:
-        path.append(state)
-        state = bwd[state]
+    path += _descent(expand, seen[1], meet)[1:]
     w = f0.rect.width
     cells, labels = [], []
     for before, after in zip(path, path[1:]):

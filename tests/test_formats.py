@@ -183,6 +183,45 @@ def test_load_certificate_names_an_oversized_move_token():
     assert ei.value.line == doc.splitlines().index("S 1 1 2") + 1
 
 
+# Digits that Python's re and int() read as decimals, though no dump writes them.
+NON_ASCII_TWO = ("\u0662", "\uff12")  # Arabic-Indic and full-width 2
+
+
+def s1_constant():
+    s1 = d.make_sphere(1)
+    return d.constant_map(d.Rectangle(2, 2), s1, s1.point_index[(-1, 0)])
+
+
+def test_load_map_reads_only_ascii_digits():
+    img = _path3()
+    doc = d.dump_map(d.constant_map(d.Rectangle(2, 2), img, 1))
+    sphere_doc = d.dump_map(s1_constant())
+    for two in NON_ASCII_TWO:
+        assert TokenTable(img).index(two) is None
+        with pytest.raises(ParseError, match="unknown label token") as ei:
+            d.load_map(doc.replace("1 1 1", f"1 {two} 1", 1), codomain=img)
+        assert (ei.value.line, ei.value.col) == (2, 3)
+        with pytest.raises(ParseError, match="unknown codomain") as ei:
+            d.load_map(sphere_doc.replace("codomain=S1", f"codomain=S1{two}", 1))
+        assert ei.value.line == 1
+
+
+def test_load_certificate_reads_only_ascii_digits():
+    img = _path3()
+    f = d.constant_map(d.Rectangle(2, 2), img, 1)
+    there_and_back = (d.SpiderMove((1, 1), 2), d.SpiderMove((1, 1), 1))
+    doc = d.dump_certificate(d.Certificate(start=f, moves=there_and_back, end=f))
+    c = s1_constant()
+    sphere_doc = d.dump_certificate(d.Certificate(start=c, moves=(), end=c))
+    for two in NON_ASCII_TWO:
+        with pytest.raises(ParseError, match="unknown label token") as ei:
+            d.load_certificate(doc.replace("S 1 1 2\n", f"S 1 1 {two}\n", 1), codomain=img)
+        assert ei.value.line == doc.splitlines().index("S 1 1 2") + 1
+        with pytest.raises(ParseError, match="unknown codomain") as ei:
+            d.load_certificate(sphere_doc.replace("codomain=S1", f"codomain=S1{two}", 1))
+        assert ei.value.line == 1
+
+
 def test_certificate_roundtrip(T):
     cls, cert = d.pi2_class(T)
     doc = d.dump_certificate(cert)

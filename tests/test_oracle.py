@@ -5,6 +5,7 @@ hand-sized and the expected outcomes (including exact shortest-path move
 counts) were frozen after independent runs.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -102,7 +103,7 @@ def test_degree_zero_island_reaches_constant():
     res = d.homotopy_decide(f, g, d.SearchBudget(pad_limit=(5, 5), max_states=400_000))
     assert isinstance(res, d.Equivalent)
     # every one of the 10 content cells must change at least once, and a
-    # 10-move schedule exists; breadth-first search returns that optimum
+    # 10-move schedule exists; the search returns only shortest paths
     assert len(res.certificate.moves) == 10
     v = d.verify_certificate(res.certificate)
     assert v.ok
@@ -144,10 +145,10 @@ def test_default_budget_applies(T):
 
 
 def test_shortest_path_through_padding(zero_map):
-    # The two nonzero humps cancel only after the map is rewritten in place;
-    # searched at its native frame the two sides meet after about 680k
-    # states (a one-sided search needs millions), so this is the slowest
-    # oracle test.
+    # The two nonzero humps cancel only after the map is rewritten in place.
+    # Breadth-first search from both sides needs at least about 488k states
+    # at this frame; the label-distance bound is 14, the exact distance, so
+    # the informed search needs about 51k.
     g = d.constant_map(zero_map.rect, d.S2, d.BASEPOINT)
     res = d.homotopy_decide(
         zero_map, g, d.SearchBudget(pad_limit=(6, 5), max_states=4_500_000)
@@ -216,8 +217,80 @@ def test_exhausting_the_second_maps_component(T):
     assert spider_component_size(T) < res.states_explored < 50_000
 
 
+# The shortest lengths of criterion 8's far pairs at pad 6 x 6, found by
+# breadth-first search with caps of up to 3,000,000 states.
+FAR_PAIR_MOVES = {
+    3: 5, 4: 5, 8: 5, 9: 9, 13: 6, 14: 5, 18: 0, 19: 4, 23: 5, 24: 5,
+    28: 4, 29: 8, 33: 10, 34: 5, 38: 2, 39: 7, 43: 6, 44: 7, 48: 3, 49: 7,
+}
+
+
+def test_far_pairs_get_shortest_certificates_within_the_cap():
+    budget = d.SearchBudget(pad_limit=(6, 6), max_states=40_000)
+    far = [pair for i, pair in enumerate(criterion_8_pairs()) if i % 5 >= 3]
+    for (i, want), (f, g) in zip(FAR_PAIR_MOVES.items(), far, strict=True):
+        res = d.homotopy_decide(f, g, budget)
+        assert isinstance(res, d.Equivalent), i
+        assert len(res.certificate.moves) == want, i
+        assert d.verify_certificate(res.certificate).ok
+
+
+def test_near_pair_certificates_are_those_of_breadth_first_search():
+    # The root expansions are breadth first, so a pair at most two moves
+    # apart keeps the certificate text the plain bidirectional search wrote.
+    budget = d.SearchBudget(pad_limit=(6, 6), max_states=40_000)
+    digest = hashlib.sha256()
+    near = [pair for i, pair in enumerate(criterion_8_pairs()) if i % 5 < 3]
+    for f, g in near:
+        digest.update(d.dump_certificate(d.homotopy_decide(f, g, budget).certificate).encode())
+    assert len(near) == 30
+    assert digest.hexdigest() == (
+        "10d95e89753aa50951c07821b32dc950afca4c22ac67ea9aea5b119b379a09ff"
+    )
+
+
+def test_degree_zero_6x5_is_decided_at_the_benchmark_cap(zero_map):
+    g = d.constant_map(zero_map.rect, d.S2, d.BASEPOINT)
+    res = d.homotopy_decide(
+        zero_map, g, d.SearchBudget(pad_limit=(6, 5), max_states=200_000)
+    )
+    assert isinstance(res, d.Equivalent)
+    assert len(res.certificate.moves) == 14
+
+
+def test_label_distances():
+    # On S2 and S3 each point is one step from all but its antipode.
+    for n in (2, 3):
+        sphere = d.make_sphere(n)
+        dist = oracle._distances(sphere)
+        for i, p in enumerate(sphere.points):
+            for j, q in enumerate(sphere.points):
+                want = 0 if i == j else 2 if tuple(-x for x in p) == q else 1
+                assert dist[i, j] == want
+    # A point no edge reaches is len(points) from every other.  S1's points
+    # differ in two coordinates, so under c_1 no two of them are adjacent.
+    assert oracle._distances(d.make_sphere(1)).tolist() == [
+        [0, 4, 4, 4],
+        [4, 0, 4, 4],
+        [4, 4, 0, 4],
+        [4, 4, 4, 0],
+    ]
+    img = d.DigitalImage(
+        name="apart",
+        points=((0,), (1,), (2,), (5,)),
+        adjacency=d.Explicit.from_pairs([(0, 1), (1, 2)]),
+    )
+    assert oracle._distances(img).tolist() == [
+        [0, 1, 2, 4],
+        [1, 0, 1, 4],
+        [2, 1, 0, 4],
+        [4, 4, 4, 0],
+    ]
+
+
 def test_state_cap_is_shared_by_both_searches():
-    f = d.gen_random(9, 4, 4, moves=30)
+    # degrees 1 and 0: no search joins them, so every cap runs out
+    f = d.gen_random(9, 4, 4, moves=30, plant=1)
     g = d.constant_map(f.rect, d.S2, d.BASEPOINT)
     for cap in (1, 2, 3, 10, 200, 5_000):
         res = d.homotopy_decide(f, g, d.SearchBudget(pad_limit=(7, 7), max_states=cap))
@@ -316,3 +389,19 @@ def test_a_chunk_is_sized_by_the_bytes_of_its_children(T, monkeypatch):
         tracemalloc.stop()
     assert [s for s, _ in sizes] == [2, 2, 1]
     assert sum(n for _, n in sizes) > 10_000 and peak <= oracle._CHUNK_BYTES
+
+
+def test_search_bytes_bound_a_whole_search_to_its_cap():
+    # Degrees 1 and 0, so the search runs to the cap; its peak under
+    # tracemalloc stays below the estimate the CLI checks.
+    f = d.gen_random(9, 4, 4, moves=30, plant=1)
+    g = d.constant_map(f.rect, d.S2, d.BASEPOINT)
+    budget = d.SearchBudget(pad_limit=(7, 7), max_states=200_000)
+    tracemalloc.start()
+    try:
+        res = d.homotopy_decide(f, g, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(res, d.Unknown) and res.states_explored == 200_000
+    assert peak <= oracle._search_bytes(f, g, budget)
